@@ -5,6 +5,24 @@ maximizes total social welfare; the sensing program maximizes total sensing
 gain subject to the matched set's total welfare being non-negative. Solutions
 are fully deterministic: ties are resolved by a total ordering (welfare, then
 lower total pick-up distance, then lexicographic edge list).
+
+Which path runs:
+
+- Welfare: one linear_sum_assignment (LSA) on max(sigma, 0) over the edges
+  with sigma >= 0. Its matching is returned, in driver id order, when a
+  uniqueness certificate holds: zeroing any chosen edge's weight lowers the
+  LSA optimum by more than 1e-9, and no sigma >= 0 edge joins a driver and a
+  rider both left unmatched. Then no other matching comes within 1e-9 of the
+  optimum, and since the tie-break compares totals within 1e-12 it would
+  return the same edges. Otherwise (an exact tie, common when co-located
+  drivers have identical welfare and pick-up distance and only the driver id
+  decides) the exact two-pass branch-and-bound runs unchanged, because the
+  order of its result is observable in the event log.
+- VCG removal marginals (welfare_marginals): one welfare matrix per epoch;
+  each removal is one LSA on it with the participant's row or column, and
+  every row and column left without an edge, dropped.
+- Sensing: the exact two-pass branch-and-bound, for the solve and for every
+  removal marginal.
 """
 
 from __future__ import annotations
@@ -75,7 +93,6 @@ class MatchingSolution:
     chosen: tuple[CandidateEdge, ...]
     objective_value: float
     welfare_total: float
-    optimal: bool = True
 
     @property
     def matched_drivers(self) -> tuple[str, ...]:
@@ -138,9 +155,15 @@ def build_candidates(drivers, riders, world: GridWorld, rates: market.Rates,
 
 
 def solve_welfare_max(problem: MatchingProblem) -> MatchingSolution:
-    """Exact welfare-maximizing matching; negative-welfare edges never help."""
+    """Exact welfare-maximizing matching; negative-welfare edges never help.
+
+    One assignment solve settles a market whose optimum is certified unique
+    (see _certified_welfare_pick); ties go to the exact tie-break search.
+    """
     edges = [e for e in problem.edges if e.sigma >= 0.0]
-    chosen = _lex_search(edges, primary="sigma", floor=False)
+    chosen = _certified_welfare_pick(edges)
+    if chosen is None:
+        chosen = _lex_search(edges, primary="sigma", floor=False)
     value = _canonical_sum(chosen, "sigma")
     return MatchingSolution(chosen=chosen, objective_value=value,
                             welfare_total=value)
@@ -182,6 +205,96 @@ def marginal_objective(problem: MatchingProblem, remove: str) -> float:
         return 0.0
     _, chosen = _optimal_primary(_Instance(edges, primary), floor)
     return _canonical_sum(chosen, primary)
+
+
+def welfare_marginals(problem: MatchingProblem,
+                      participants) -> dict[str, float]:
+    """marginal_objective under the welfare objective, for many removals.
+
+    The welfare matrix is built once. Each removal drops the participant's
+    row or column, then every row and column left without an edge, so the
+    assignment solve sees the same matrix that a rebuilt reduced problem
+    would index, and picks the same matching.
+    """
+    known = set(problem.drivers) | set(problem.riders)
+    m = _WelfareMatrix([e for e in problem.edges if e.sigma >= 0.0])
+    out = {}
+    for p in participants:
+        if p not in known:
+            raise ContractError(f"participant {p!r} not in problem")
+        keep = m.has_edge.copy()
+        if p in m.d_index:
+            keep[m.d_index[p], :] = False
+        if p in m.r_index:
+            keep[:, m.r_index[p]] = False
+        rows = np.flatnonzero(keep.any(axis=1))
+        cols = np.flatnonzero(keep.any(axis=0))
+        out[p] = _canonical_sum(m.pick(rows, cols), "sigma")
+    return out
+
+
+class _WelfareMatrix:
+    """max(sigma, 0) over edges with sigma >= 0, rows and columns in id order.
+
+    The same matrix _Instance builds for the welfare objective, without the
+    search's index structures.
+    """
+
+    def __init__(self, edges):
+        self.d_index = {d: i for i, d in
+                        enumerate(sorted({e.driver for e in edges}))}
+        self.r_index = {r: j for j, r in
+                        enumerate(sorted({e.rider for e in edges}))}
+        self.w = np.zeros((len(self.d_index), len(self.r_index)))
+        self.has_edge = np.zeros(self.w.shape, dtype=bool)
+        self.at = {}
+        for e in edges:
+            i, j = self.d_index[e.driver], self.r_index[e.rider]
+            self.w[i, j] = max(e.sigma, 0.0)
+            self.has_edge[i, j] = True
+            self.at[(i, j)] = e
+
+    def pick(self, rows, cols) -> tuple[CandidateEdge, ...]:
+        """Positive-weight edges of one LSA optimum on the given submatrix."""
+        if not (len(rows) and len(cols)):
+            return ()
+        sub = self.w[np.ix_(rows, cols)]
+        ri, ci = linear_sum_assignment(sub, maximize=True)
+        return tuple(self.at[(rows[i], cols[j])]
+                     for i, j in zip(ri, ci) if sub[i, j] > 0.0)
+
+
+def _certified_welfare_pick(edges) -> tuple[CandidateEdge, ...] | None:
+    """The LSA welfare optimum when no other matching comes within _TOL.
+
+    Certificate: zeroing any chosen edge's weight costs the optimum more than
+    _TOL, and no edge joins a driver and a rider both left unmatched. A
+    matching that drops a chosen edge is then worse by more than _TOL, and
+    one that keeps them all cannot add an edge. The tie-break compares
+    totals within _PRUNE_TOL < _TOL, so it would pick this same edge set, in
+    the same (driver id) order. Returns None when the certificate fails.
+    """
+    if not edges:
+        return ()
+    m = _WelfareMatrix(edges)
+    w = m.w
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    picked = [(i, j) for i, j in zip(rows, cols) if w[i, j] > 0.0]
+    free_d = np.ones(w.shape[0], dtype=bool)
+    free_r = np.ones(w.shape[1], dtype=bool)
+    for i, j in picked:
+        free_d[i] = free_r[j] = False
+    if m.has_edge[np.ix_(free_d, free_r)].any():
+        return None
+    value = float(w[rows, cols].sum())
+    for i, j in picked:
+        weight, w[i, j] = w[i, j], 0.0
+        ri, ci = linear_sum_assignment(w, maximize=True)
+        without = float(w[ri, ci].sum())
+        w[i, j] = weight
+        if value - without <= _TOL:
+            return None
+    return tuple(m.at[p] for p in picked)
 
 
 def _canonical_sum(chosen, attr: str) -> float:

@@ -11,11 +11,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 from . import pricing
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .properties import PropertyViolation, run_property_suite
 from .simengine import (KPI_CSV_HEADER, ScenarioConfig, event_log_lines,
                         kpi_rows, run_scenario)
@@ -34,7 +34,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -87,6 +87,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The scenario config with flag and environment overrides, validated."""
     if args.config is None:
         config = ScenarioConfig()
     else:
@@ -95,21 +96,28 @@ def _load_config(args) -> ScenarioConfig:
             raise ConfigurationError(f"config file not found: {path}")
         try:
             config = ScenarioConfig.from_json(path)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"invalid config {path}: {exc}") from exc
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed config {path}: {exc}") from exc
+    overrides = {}
     if args.floor is not None:
-        config.floor_enabled = args.floor == "on"
+        overrides["floor_enabled"] = args.floor == "on"
+    if getattr(args, "seed", None) is not None:
+        overrides["seed"] = args.seed
     env_seed = os.environ.get("SENSEAUCTION_SEED")
     if env_seed is not None:
-        config.seed = int(env_seed)
-    return config
+        try:
+            overrides["seed"] = int(env_seed)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"SENSEAUCTION_SEED must be an integer, got {env_seed!r}") from exc
+    # replace() re-runs the config's validation on the overridden values.
+    return replace(config, **overrides)
 
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    if getattr(args, "seed", None) is not None and \
-            os.environ.get("SENSEAUCTION_SEED") is None:
-        config.seed = args.seed
     report = run_scenario(config, args.mechanism)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,13 +133,15 @@ def cmd_run(args) -> int:
 
 
 def _parse_list(raw: str, cast):
-    return [cast(x) for x in raw.split(",") if x.strip() != ""]
+    try:
+        return [cast(x) for x in raw.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise ConfigurationError(f"bad list {raw!r}: {exc}") from exc
 
 
 def _run_cell(payload):
-    config_doc, mechanism = payload
-    report = run_scenario(ScenarioConfig.from_json(config_doc), mechanism)
-    return kpi_rows(report)[-1]   # the aggregate row
+    config, mechanism = payload
+    return kpi_rows(run_scenario(config, mechanism))[-1]   # the aggregate row
 
 
 def cmd_compare(args) -> int:
@@ -148,19 +158,17 @@ def cmd_compare(args) -> int:
         for scen in scenarios:
             for fleet in fleets:
                 for seed in seeds:
-                    doc = asdict(base)
-                    doc.update(demand_scenario=scen, fleet_size=fleet,
-                               seed=seed, overreport_fraction=0.0)
-                    cells.append((doc, mech))
+                    cells.append((replace(
+                        base, demand_scenario=scen, fleet_size=fleet,
+                        seed=seed, overreport_fraction=0.0), mech))
     over_cells = []
     for frac in overreport:
         for scen in scenarios:
             for fleet in fleets:
                 for seed in seeds:
-                    doc = asdict(base)
-                    doc.update(demand_scenario=scen, fleet_size=fleet,
-                               seed=seed, overreport_fraction=frac)
-                    over_cells.append((doc, pricing.DS, frac))
+                    over_cells.append((replace(
+                        base, demand_scenario=scen, fleet_size=fleet,
+                        seed=seed, overreport_fraction=frac), pricing.DS, frac))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,7 +181,7 @@ def cmd_compare(args) -> int:
     print(f"wrote {out / 'compare.csv'} ({len(rows)} rows)")
 
     if over_cells:
-        over_rows = _map_cells([(doc, mech) for doc, mech, _ in over_cells],
+        over_rows = _map_cells([(cfg, mech) for cfg, mech, _ in over_cells],
                                args.jobs)
         with open(out / "overreport.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

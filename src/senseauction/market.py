@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ContractError
@@ -13,7 +13,6 @@ MONEY_TOL = 1e-9
 
 class DriverStatus(Enum):
     VACANT = "vacant"
-    PICKUP = "pickup"
     IN_SERVICE = "in_service"
 
 
@@ -47,7 +46,6 @@ class DriverState:
     b_reported: float
     speed: float = 35.0
     status: DriverStatus = DriverStatus.VACANT
-    busy_until: int = field(default=0, compare=False)  # epoch index, exclusive
 
 
 @dataclass(frozen=True)

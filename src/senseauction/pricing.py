@@ -10,10 +10,10 @@ platform revenue.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .assignment import MatchingProblem, MatchingSolution, marginal_objective, solve
+from .assignment import (WELFARE, MatchingProblem, MatchingSolution,
+                         marginal_objective, solve, welfare_marginals)
 from .errors import ContractError
 from .market import Rates, participant_utilities
 
@@ -63,9 +63,12 @@ def compute_marginals(problem: MatchingProblem,
                       solution: MatchingSolution) -> dict[str, float]:
     """Re-solved objective with each matched participant removed in turn.
 
-    Each removal is an independent pure solve, so callers may parallelize.
+    Welfare removals share one welfare matrix per epoch; each sensing
+    removal is an independent exact solve.
     """
     participants = solution.matched_drivers + solution.matched_riders
+    if problem.objective == WELFARE:
+        return welfare_marginals(problem, participants)
     return {p: marginal_objective(problem, p) for p in participants}
 
 
@@ -148,22 +151,3 @@ def settle_epoch(mechanism: str, problem: MatchingProblem, rates: Rates,
         return ds_prices(solution, compute_marginals(problem, solution),
                          rates, floor_enabled=floor_enabled)
     raise ContractError(f"unknown mechanism {mechanism!r}")
-
-
-SETTLEMENT_CSV_HEADER = ["epoch", "mechanism", "d", "r", "P_d", "P_r", "sigma",
-                         "zeta", "rho_d", "rho_r", "q_d", "q_r", "u_d", "u_r"]
-
-
-def export_settlements_csv(settlements, path) -> None:
-    """Write (epoch, settlement) pairs as one CSV row per priced match."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SETTLEMENT_CSV_HEADER)
-        for epoch, st in settlements:
-            for m in st.priced:
-                writer.writerow([epoch, st.mechanism, m.driver, m.rider,
-                                 f"{m.P_d:.9f}", f"{m.P_r:.9f}",
-                                 f"{m.sigma:.9f}", f"{m.zeta:.9f}",
-                                 f"{m.rho_d:.9f}", f"{m.rho_r:.9f}",
-                                 f"{m.q_d:.9f}", f"{m.q_r:.9f}",
-                                 f"{m.u_d:.9f}", f"{m.u_r:.9f}"])

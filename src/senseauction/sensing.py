@@ -7,7 +7,6 @@ within a sensing interval and reset when the interval advances.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +54,6 @@ class CoverageState:
     def advance_interval(self) -> None:
         self.current_interval += 1
 
-    def interval_counts(self, interval: int | None = None) -> np.ndarray:
-        t = self.current_interval if interval is None else interval
-        return self.counts[t]
-
 
 def sensing_quality(params: SensingParams, n: int) -> float:
     if n < 0:
@@ -103,12 +98,3 @@ def coverage_rate(state: CoverageState, through_interval: int | None = None) -> 
     last = state.current_interval if through_interval is None else through_interval
     covered = (state.counts[:last + 1] >= 1).mean(axis=1)
     return float(covered.mean())
-
-
-def export_coverage_csv(state: CoverageState, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval", "cell", "count"])
-        for t in range(state.n_intervals):
-            for g in range(state.n_cells):
-                writer.writerow([t, g, int(state.counts[t, g])])

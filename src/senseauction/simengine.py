@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import pricing
 from .assignment import build_candidates
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractError
 from .gridworld import GridWorld, ProspectModel, build_grid, build_prospect_model, load_world, route
 from .market import DriverState, DriverStatus, Rates, RiderRequest
 from .sensing import (CoverageState, SensingParams, commit_route,
@@ -61,16 +62,40 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.overreport_fraction <= 1.0:
-            raise ConfigurationError("overreport_fraction must be in [0, 1]")
+        """Reject every value a run cannot use, before the run starts."""
+        for name, low in (("fleet_size", 0), ("horizon_intervals", 1),
+                          ("epochs_per_interval", 1), ("demand_scenario", 0),
+                          ("rider_patience_epochs", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) \
+                    or isinstance(value, bool) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}")
+        for name, positive in (("epoch_seconds", True), ("speed_kmh", True),
+                               ("radius_km", False), ("bid_low", False),
+                               ("bid_high", False), ("overreport_high", False),
+                               ("requests_per_hour", False),
+                               ("reposition_radius_km", False)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 if positive
+                                              else value >= 0)):
+                raise ConfigurationError(
+                    f"{name} must be finite and "
+                    f"{'positive' if positive else 'non-negative'}")
+        if self.bid_low > self.bid_high:
+            raise ConfigurationError("bid_low must not exceed bid_high")
+        for name in ("overreport_fraction", "remote_frac"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1]")
         if self.demand_scenario not in REMOTE_FRACS and self.remote_frac is None:
             raise ConfigurationError(
                 f"unknown demand scenario {self.demand_scenario}")
-        for name in ("fleet_size", "horizon_intervals", "epochs_per_interval",
-                     "epoch_seconds", "speed_kmh", "radius_km",
-                     "requests_per_hour"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+        try:
+            self.rates
+        except ContractError as exc:
+            raise ConfigurationError(f"rates: {exc}") from exc
+        SensingParams(exponent=self.sensing_exponent)
+        load_world(self.world)
 
     @property
     def effective_remote_frac(self) -> float:
@@ -214,6 +239,8 @@ def reposition_vacant(drivers, world: GridWorld, model: ProspectModel,
             continue
         dists = np.linalg.norm(world.centroids - np.asarray(d.location), axis=1)
         nearby = np.flatnonzero(dists <= radius_km)
+        if nearby.size == 0:
+            continue
         # Highest prospect wins; ties go to the nearest centroid, then lowest id.
         best = min(nearby, key=lambda g: (-model.prospects[g], dists[g], g))
         if best == world.cell_of(d.location):

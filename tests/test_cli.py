@@ -37,6 +37,38 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("fields", [
+    {"alpha": 3.0},                  # rates: beta > alpha fails
+    {"speed_kmh": 0},                # travel time divides by speed
+    {"horizon_intervals": 0},
+    {"seed": -1},
+    {"fleet_size": 2.5},
+    {"sensing_exponent": 1.5},
+    {"world": {"rows": 2, "cols": 2, "densities": [1, 1, 1]}},
+])
+def test_invalid_config_field_is_usage_error(tmp_path, capsys, fields):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(fields))
+    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_seed_override_is_usage_error(config_path, tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(config_path), "--seed", "-3",
+                 "--out", out]) == EXIT_USAGE
+    monkeypatch.setenv("SENSEAUCTION_SEED", "seven")
+    assert main(["run", "--config", str(config_path), "--out", out]) == EXIT_USAGE
+
+
+def test_compare_bad_list_is_usage_error(config_path, tmp_path):
+    rc = main(["compare", "--config", str(config_path), "--seeds", "0,x",
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -152,6 +152,15 @@ def test_reposition_stays_put_when_already_best():
     assert d.location == loc
 
 
+def test_reposition_stays_put_with_no_cell_in_radius():
+    world, model = load_world(default_world(4, 4))
+    from senseauction.market import DriverState
+    d = DriverState(id="d", location=(1.0, 1.0), b_true=1.0, b_reported=1.0)
+    reposition_vacant([d], world, model, dt_hours=1.0, speed_kmh=35.0,
+                      radius_km=0.1)
+    assert d.location == (1.0, 1.0)
+
+
 def test_run_scenario_empty_fleet_yields_zero_kpis():
     report = run_scenario(small_config(fleet_size=0), DS)
     assert report.matching_rate == 0.0

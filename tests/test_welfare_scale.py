@@ -1,0 +1,127 @@
+"""Welfare program at simulator sizes: the certified assignment solve and the
+batched VCG removal marginals against the exact search they replace.
+
+Brute force stops at 8x8, so these checks compare against the exact
+branch-and-bound instead: on seeded markets from 10x10 up to the largest
+market of a default-scale run (59x31), with and without co-located drivers.
+"""
+
+import numpy as np
+import pytest
+from scipy.optimize import linear_sum_assignment
+
+from senseauction import assignment as asg
+from senseauction import pricing
+from senseauction.assignment import CandidateEdge, MatchingProblem
+from senseauction.errors import ContractError
+from senseauction.market import Rates
+from senseauction.pricing import VCG, settle_epoch, vcg_prices
+from senseauction.simengine import ScenarioConfig, run_scenario
+
+RATES = Rates(alpha=1.5, beta=2.75)
+
+
+def random_market(seed, n_d, n_r, colocated):
+    """Valuations as build_candidates forms them, on random sites.
+
+    With colocated, a third of the drivers share another driver's site, so
+    their edges to a rider that is nearest for both carry equal welfare and
+    pick-up distance: an exact tie that only the driver id can break.
+    """
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(0.0, 6.0, (n_d, 2))
+    if colocated:
+        k = n_d // 3
+        sites[:k] = sites[rng.integers(k, n_d, k)]
+    origins = rng.uniform(0.0, 6.0, (n_r, 2))
+    tau = np.linalg.norm(sites[:, None, :] - origins[None, :, :], axis=2)
+    near = tau <= 2.0
+    tau_min_d = np.where(near, tau, np.inf).min(axis=1)
+    tau_min_r = np.where(near, tau, np.inf).min(axis=0)
+    b = rng.uniform(1.0, 2.0, n_d)
+    delta = rng.uniform(1.0, 2.0, n_r)
+    h = rng.uniform(1.0, 10.0, n_r)
+    f = np.where(rng.random(n_r) < 0.5, 0.0, rng.uniform(0.0, 8.0, n_r))
+    edges = [CandidateEdge(
+        f"d{i}", f"r{j}", float(tau[i, j]),
+        P_d=float(RATES.alpha * h[j] + b[i] * (tau[i, j] - tau_min_d[i]) + f[j]),
+        P_r=float(RATES.beta * h[j] - delta[j] * (tau[i, j] - tau_min_r[j])),
+        zeta=0.0, h_r=float(h[j]))
+        for i in range(n_d) for j in range(n_r) if near[i, j]]
+    return MatchingProblem(edges, tuple(f"d{i}" for i in range(n_d)),
+                           tuple(f"r{j}" for j in range(n_r)))
+
+
+@pytest.fixture(scope="module")
+def markets():
+    """Random markets up to 30x16 plus every vcg market of one default run.
+
+    The run (fleet 60, scenario 3, seed 1) settles 72 markets of up to 59x31
+    with 706 edges; its drivers park on shared cell centroids, so some of
+    its markets are exact ties.
+    """
+    out = [random_market(seed, n_d, n_r, colocated)
+           for n_d, n_r in ((10, 10), (20, 12), (30, 16))
+           for colocated in (False, True) for seed in range(2)]
+    seen = []
+    settle = pricing.settle_epoch
+
+    def record(mechanism, problem, *args, **kwargs):
+        seen.append(MatchingProblem(list(problem.edges), problem.drivers,
+                                    problem.riders))
+        return settle(mechanism, problem, *args, **kwargs)
+
+    pricing.settle_epoch = record
+    try:
+        run_scenario(ScenarioConfig(fleet_size=60, demand_scenario=3, seed=1),
+                     VCG)
+    finally:
+        pricing.settle_epoch = settle
+    assert (59, 31) in {(len(p.drivers), len(p.riders)) for p in seen}
+    return out + seen
+
+
+def lsa_welfare(problem):
+    drivers = sorted(problem.drivers)
+    riders = sorted(problem.riders)
+    w = np.zeros((len(drivers), len(riders)))
+    for e in problem.edges:
+        w[drivers.index(e.driver), riders.index(e.rider)] = max(e.sigma, 0.0)
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    return float(w[rows, cols].sum())
+
+
+def test_welfare_max_equals_exact_search_at_scale(markets):
+    paths = {"certified": 0, "tie": 0}
+    for problem in markets:
+        edges = [e for e in problem.edges if e.sigma >= 0.0]
+        certified = asg._certified_welfare_pick(edges)
+        paths["tie" if certified is None else "certified"] += 1
+        got = asg.solve_welfare_max(problem)
+        want = asg._lex_search(edges, "sigma", False)
+        assert got.chosen == want            # same edges, same order
+        assert got.objective_value == pytest.approx(lsa_welfare(problem),
+                                                    abs=1e-9, rel=0)
+    assert paths["certified"] > 0 and paths["tie"] > 0, paths
+
+
+def test_batched_vcg_marginals_equal_per_removal_solves(markets):
+    ties = 0
+    for problem in markets:
+        problem.objective = asg.WELFARE
+        solution = asg.solve_welfare_max(problem)
+        ties += asg._certified_welfare_pick(
+            [e for e in problem.edges if e.sigma >= 0.0]) is None
+        per_removal = {p: asg.marginal_objective(problem, p)
+                       for p in solution.matched_drivers
+                       + solution.matched_riders}
+        assert pricing.compute_marginals(problem, solution) == per_removal
+        settled = settle_epoch(VCG, problem, RATES, floor_enabled=False)
+        assert settled.priced == vcg_prices(solution, per_removal).priced
+    assert ties > 0
+
+
+def test_batched_marginals_reject_unknown_participant():
+    problem = random_market(0, 4, 4, False)
+    with pytest.raises(ContractError):
+        asg.welfare_marginals(problem, ["nobody"])
