@@ -18,11 +18,22 @@ Which path runs:
   drivers have identical welfare and pick-up distance and only the driver id
   decides) the exact two-pass branch-and-bound runs unchanged, because the
   order of its result is observable in the event log.
-- VCG removal marginals (welfare_marginals): one welfare matrix per epoch;
-  each removal is one LSA on it with the participant's row or column, and
-  every row and column left without an edge, dropped.
-- Sensing: the exact two-pass branch-and-bound, for the solve and for every
-  removal marginal.
+- One index per settle (settle_index): the welfare matrix or the sensing
+  _Instance is built once and shared by the solve and all removals.
+- VCG removal marginals (welfare_marginals): each removal is one LSA on the
+  welfare matrix with the participant's row or column, and every row and
+  column left without an edge, dropped.
+- Sensing: the exact two-pass branch-and-bound solves the market.
+- DS removal marginals (sensing_marginals): each removal is a slice of the
+  settle's _Instance, with rows and columns dropped as for VCG, so the
+  rider-subset search sees exactly the arrays a rebuilt reduced index would
+  hold. The search starts from an incumbent, the optimal rider set R* for a
+  driver removal and R* less the rider for a rider removal, kept only if it
+  meets the welfare floor, and ends once it reaches the full optimum U*
+  (within 1e-12). That is exact: removing a participant only deletes
+  feasible matchings, so no removal's optimum exceeds U*. Most driver
+  removals cost one LSA. Markets with per-edge zeta, which only the
+  property harness draws, re-solve each removal with marginal_objective.
 """
 
 from __future__ import annotations
@@ -154,34 +165,55 @@ def build_candidates(drivers, riders, world: GridWorld, rates: market.Rates,
                            riders=tuple(r.id for r in riders))
 
 
-def solve_welfare_max(problem: MatchingProblem) -> MatchingSolution:
+def solve_welfare_max(problem: MatchingProblem,
+                      matrix: _WelfareMatrix | None = None) -> MatchingSolution:
     """Exact welfare-maximizing matching; negative-welfare edges never help.
 
     One assignment solve settles a market whose optimum is certified unique
     (see _certified_welfare_pick); ties go to the exact tie-break search.
+    `matrix` is the problem's settle_index, built here when not given.
     """
-    edges = [e for e in problem.edges if e.sigma >= 0.0]
-    chosen = _certified_welfare_pick(edges)
+    m = _WelfareMatrix(problem.edges) if matrix is None else matrix
+    chosen = _certified_welfare_pick(m.edges, m)
     if chosen is None:
-        chosen = _lex_search(edges, primary="sigma", floor=False)
+        chosen = _lex_search(m.edges, primary="sigma", floor=False)
     value = _canonical_sum(chosen, "sigma")
     return MatchingSolution(chosen=chosen, objective_value=value,
                             welfare_total=value)
 
 
-def solve_sensing_max(problem: MatchingProblem) -> MatchingSolution:
-    """Exact sensing-maximizing matching with a non-negative total-welfare floor."""
-    chosen = _lex_search(problem.edges, primary="zeta", floor=True)
+def solve_sensing_max(problem: MatchingProblem,
+                      inst: _Instance | None = None) -> MatchingSolution:
+    """Exact sensing-maximizing matching with a non-negative total-welfare floor.
+
+    `inst` is the problem's settle_index, built here when not given.
+    """
+    chosen = _lex_search(problem.edges, primary="zeta", floor=True, inst=inst)
     return MatchingSolution(chosen=chosen,
                             objective_value=_canonical_sum(chosen, "zeta"),
                             welfare_total=_canonical_sum(chosen, "sigma"))
 
 
-def solve(problem: MatchingProblem) -> MatchingSolution:
+def settle_index(problem: MatchingProblem):
+    """The index one settle builds once and shares between its solve and its
+    removal marginals: the welfare matrix, or the sensing _Instance.
+
+    Built per settle and passed down, never kept on the problem, so a
+    problem object can be settled again under either objective.
+    """
     if problem.objective == WELFARE:
-        return solve_welfare_max(problem)
+        return _WelfareMatrix(problem.edges)
     if problem.objective == SENSING:
-        return solve_sensing_max(problem)
+        return _Instance(problem.edges, "zeta")
+    raise ContractError(f"unknown objective {problem.objective!r}")
+
+
+def solve(problem: MatchingProblem, index=None) -> MatchingSolution:
+    """Solve under the problem's objective; `index` is its settle_index."""
+    if problem.objective == WELFARE:
+        return solve_welfare_max(problem, index)
+    if problem.objective == SENSING:
+        return solve_sensing_max(problem, index)
     raise ContractError(f"unknown objective {problem.objective!r}")
 
 
@@ -207,29 +239,75 @@ def marginal_objective(problem: MatchingProblem, remove: str) -> float:
     return _canonical_sum(chosen, primary)
 
 
-def welfare_marginals(problem: MatchingProblem,
-                      participants) -> dict[str, float]:
-    """marginal_objective under the welfare objective, for many removals.
+def _removals(index, problem: MatchingProblem, participants):
+    """Yield (participant, rows, cols) for each removal.
 
-    The welfare matrix is built once. Each removal drops the participant's
-    row or column, then every row and column left without an edge, so the
-    assignment solve sees the same matrix that a rebuilt reduced problem
-    would index, and picks the same matching.
+    rows and cols select, in order, the rows and columns of `index` that an
+    index rebuilt from problem.without(participant) would hold: the
+    participant's row or column goes, and so does every column or row whose
+    only edges it held (found from per-row and per-column edge counts).
+    Driver and rider ids are distinct.
     """
     known = set(problem.drivers) | set(problem.riders)
-    m = _WelfareMatrix([e for e in problem.edges if e.sigma >= 0.0])
-    out = {}
+    has_edge = index.has_edge
+    n_row, n_col = has_edge.sum(axis=1), has_edge.sum(axis=0)
+    all_rows, all_cols = np.arange(n_row.size), np.arange(n_col.size)
     for p in participants:
         if p not in known:
             raise ContractError(f"participant {p!r} not in problem")
-        keep = m.has_edge.copy()
-        if p in m.d_index:
-            keep[m.d_index[p], :] = False
-        if p in m.r_index:
-            keep[:, m.r_index[p]] = False
-        rows = np.flatnonzero(keep.any(axis=1))
-        cols = np.flatnonzero(keep.any(axis=0))
-        out[p] = _canonical_sum(m.pick(rows, cols), "sigma")
+        rows, cols = all_rows, all_cols
+        if p in index.d_index:
+            i = index.d_index[p]
+            rows = np.delete(all_rows, i)
+            cols = np.flatnonzero(n_col > has_edge[i])
+        elif p in index.r_index:
+            j = index.r_index[p]
+            rows = np.flatnonzero(n_row > has_edge[:, j])
+            cols = np.delete(all_cols, j)
+        yield p, rows, cols
+
+
+def welfare_marginals(problem: MatchingProblem, participants,
+                      matrix: _WelfareMatrix | None = None) -> dict[str, float]:
+    """marginal_objective under the welfare objective, for many removals.
+
+    The welfare matrix (the settle index, built here when not given) is
+    shared by all removals. Each removal drops rows and columns as
+    _removals says, so the assignment solve sees the same matrix that a
+    rebuilt reduced problem would index, and picks the same matching.
+    """
+    m = _WelfareMatrix(problem.edges) if matrix is None else matrix
+    return {p: _canonical_sum(m.pick(rows, cols), "sigma")
+            for p, rows, cols in _removals(m, problem, participants)}
+
+
+def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
+                      participants,
+                      inst: _Instance | None = None) -> dict[str, float]:
+    """marginal_objective under the sensing objective, for many removals.
+
+    `solution` must be the sensing optimum of `problem` and `inst` its
+    settle index (built here when not given). With per-rider zeta each
+    removal is a slice of that index, searched from a warm start with an
+    early exit (see the module docstring); per-edge zeta takes
+    marginal_objective.
+    """
+    index = _Instance(problem.edges, "zeta") if inst is None else inst
+    zr = _per_rider_values(index.edges, "zeta")
+    if zr is None:
+        return {p: marginal_objective(problem, p) for p in participants}
+    riders = list(index.r_index)
+    optimal_set = frozenset(solution.matched_riders)
+    out = {}
+    for p, rows, cols in _removals(index, problem, participants):
+        if not (rows.size and cols.size):
+            out[p] = 0.0
+            continue
+        grid = np.ix_(rows, cols)
+        out[p], _ = _optimal_primary_riders(
+            index.s_raw[grid], index.has_edge[grid], index.by_pair[grid],
+            {riders[j]: c for c, j in enumerate(cols)}, zr,
+            incumbent=optimal_set - {p}, target=solution.objective_value)
     return out
 
 
@@ -237,10 +315,11 @@ class _WelfareMatrix:
     """max(sigma, 0) over edges with sigma >= 0, rows and columns in id order.
 
     The same matrix _Instance builds for the welfare objective, without the
-    search's index structures.
+    search's index structures. Edges with sigma < 0 are left out.
     """
 
     def __init__(self, edges):
+        self.edges = edges = [e for e in edges if e.sigma >= 0.0]
         self.d_index = {d: i for i, d in
                         enumerate(sorted({e.driver for e in edges}))}
         self.r_index = {r: j for j, r in
@@ -264,7 +343,8 @@ class _WelfareMatrix:
                      for i, j in zip(ri, ci) if sub[i, j] > 0.0)
 
 
-def _certified_welfare_pick(edges) -> tuple[CandidateEdge, ...] | None:
+def _certified_welfare_pick(edges, matrix: _WelfareMatrix | None = None
+                            ) -> tuple[CandidateEdge, ...] | None:
     """The LSA welfare optimum when no other matching comes within _TOL.
 
     Certificate: zeroing any chosen edge's weight costs the optimum more than
@@ -273,10 +353,11 @@ def _certified_welfare_pick(edges) -> tuple[CandidateEdge, ...] | None:
     one that keeps them all cannot add an edge. The tie-break compares
     totals within _PRUNE_TOL < _TOL, so it would pick this same edge set, in
     the same (driver id) order. Returns None when the certificate fails.
+    `matrix` is the _WelfareMatrix of `edges`, built here when not given.
     """
     if not edges:
         return ()
-    m = _WelfareMatrix(edges)
+    m = _WelfareMatrix(edges) if matrix is None else matrix
     w = m.w
     rows, cols = linear_sum_assignment(w, maximize=True)
     picked = [(i, j) for i, j in zip(rows, cols) if w[i, j] > 0.0]
@@ -343,7 +424,8 @@ class _Instance:
         self.p_raw = np.zeros((n_d, n_r))
         self.s_raw = np.zeros((n_d, n_r))
         self.has_edge = np.zeros((n_d, n_r), dtype=bool)
-        self.by_pair = {}
+        # Pair lookup as an array, so a removal can slice it like the rest.
+        self.by_pair = np.empty((n_d, n_r), dtype=object)
         for e in self.edges:
             i, j = self.d_index[e.driver], self.r_index[e.rider]
             self.pw[i, j] = max(getattr(e, primary), 0.0)
@@ -351,7 +433,7 @@ class _Instance:
             self.p_raw[i, j] = getattr(e, primary)
             self.s_raw[i, j] = e.sigma
             self.has_edge[i, j] = True
-            self.by_pair[(i, j)] = e
+            self.by_pair[i, j] = e
         if primary == "sigma":
             # Sharing one array lets the bound memo serve both objectives.
             self.pw = self.sw
@@ -398,18 +480,21 @@ class _Instance:
         return value, picked
 
 
-def _lex_search(edges, primary: str, floor: bool) -> tuple[CandidateEdge, ...]:
+def _lex_search(edges, primary: str, floor: bool,
+                inst: _Instance | None = None) -> tuple[CandidateEdge, ...]:
     """Exact two-pass branch-and-bound over edge inclusion.
 
     Pass 1 finds the optimal primary value (welfare floor respected) with
     aggressive pruning; pass 2 optimizes the tie-break key (total welfare,
     lower total pick-up distance, lexicographic edge list) among solutions
     attaining it. Upper bounds come from unconstrained maximum-weight
-    matchings over the still-free vertices.
+    matchings over the still-free vertices. `inst` is the _Instance of
+    `edges`, built here when not given.
     """
     if not edges:
         return ()
-    inst = _Instance(edges, primary)
+    if inst is None:
+        inst = _Instance(edges, primary)
     p_star, seed = _optimal_primary(inst, floor)
     return _best_at_optimum(inst, floor, p_star, seed)
 
@@ -424,22 +509,30 @@ def _per_rider_values(edges, attr: str):
     return values
 
 
-def _optimal_primary_riders(inst: _Instance, zr: dict):
+def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
+                            incumbent=frozenset(), target=math.inf):
     """Pass 1 specialised to per-rider primary values with the welfare floor.
 
     The primary total depends only on which riders are matched, so branch
     over rider subsets: zeta bounds come from prefix sums, floor feasibility
     from a max-welfare assignment that is forced to match the chosen riders.
+    s_raw, has_edge and by_pair are an _Instance's arrays, or slices of
+    them; r_index maps each rider to its column and zr gives its zeta.
+
+    A removal search passes a rider set known to be good as `incumbent`
+    (routed first and kept only if it meets the floor) and the full
+    market's optimum as `target`; the search ends once its best value
+    reaches target - _PRUNE_TOL.
     """
-    n_d = len(inst.d_index)
-    riders = sorted(zr, key=lambda r: (-zr[r], r))
-    r_idx = [inst.r_index[r] for r in riders]
+    n_d = s_raw.shape[0]
+    riders = sorted(r_index, key=lambda r: (-zr[r], r))
+    r_idx = [r_index[r] for r in riders]
     suffix = np.zeros(len(riders) + 1)
     for k in range(len(riders) - 1, -1, -1):
         suffix[k] = suffix[k + 1] + max(zr[riders[k]], 0.0)
-    big = 1000.0 * (1.0 + float(np.abs(inst.s_raw).sum()))
-    required_edge = np.where(inst.has_edge, inst.s_raw + big, -big)
-    optional_edge = np.where(inst.has_edge, np.maximum(inst.s_raw, 0.0), 0.0)
+    big = 1000.0 * (1.0 + float(np.abs(s_raw).sum()))
+    required_edge = np.where(has_edge, s_raw + big, -big)
+    optional_edge = np.where(has_edge, np.maximum(s_raw, 0.0), 0.0)
 
     def relaxed_sigma(status):
         # Max welfare with 'in' riders forced, 'undecided' optional and
@@ -468,18 +561,31 @@ def _optimal_primary_riders(inst: _Instance, zr: dict):
                 if w[i, c] <= -big / 2:
                     return None, ()
                 total += w[i, c] - big
-                pairs.append(inst.by_pair[(i, j)])
+                pairs.append(by_pair[i, j])
             elif w[i, c] > 0.0:
                 total += w[i, c]
-                pairs.append(inst.by_pair[(i, j)])
+                pairs.append(by_pair[i, j])
         return total, tuple(pairs)
 
     best_p = 0.0
     best_chosen: tuple[CandidateEdge, ...] = ()
+    if incumbent:
+        # The leaf test of recurse, on the incumbent's rider set.
+        status = [1 if r in incumbent else 2 for r in riders]
+        sig, pairs = relaxed_sigma(status)
+        cur_p = 0.0
+        for r, st in zip(riders, status):
+            if st == 1:
+                cur_p += zr[r]
+        if sig is not None and sig >= -_TOL and cur_p > best_p:
+            best_p, best_chosen = cur_p, pairs
     status = [0] * len(riders)
+    stop = target - _PRUNE_TOL
 
     def recurse(k, n_in, cur_p):
         nonlocal best_p, best_chosen
+        if best_p >= stop:
+            return
         cap = n_d - n_in
         remaining = len(riders) - k
         take = min(cap, remaining)
@@ -505,7 +611,7 @@ def _optimal_primary_riders(inst: _Instance, zr: dict):
         status[k] = 0
 
     recurse(0, 0, 0.0)
-    return _canonical_sum(best_chosen, inst.primary), best_chosen
+    return _canonical_sum(best_chosen, "zeta"), best_chosen
 
 
 def _best_for_set(inst: _Instance, cols: list, floor: bool,
@@ -558,7 +664,7 @@ def _best_for_set(inst: _Instance, cols: list, floor: bool,
         for i in np.flatnonzero(inst.has_edge[:, j]):
             if not free_d[i]:
                 continue
-            e = inst.by_pair[(int(i), j)]
+            e = inst.by_pair[i, j]
             free_d[i] = False
             chosen.append(e)
             recurse(k + 1, cur_v + e.sigma, cur_t + e.tau)
@@ -640,7 +746,8 @@ def _optimal_primary(inst: _Instance, floor: bool):
     if floor and inst.primary == "zeta":
         zr = _per_rider_values(inst.edges, "zeta")
         if zr is not None:
-            return _optimal_primary_riders(inst, zr)
+            return _optimal_primary_riders(inst.s_raw, inst.has_edge,
+                                           inst.by_pair, inst.r_index, zr)
     n_d, n_r = len(inst.d_index), len(inst.r_index)
     free_d = np.ones(n_d, dtype=bool)
     free_r = np.ones(n_r, dtype=bool)
@@ -937,14 +1044,8 @@ def _lsa_solution(inst: _Instance):
     if inst.pw.size == 0:
         return None
     rows, cols = linear_sum_assignment(inst.pw, maximize=True)
-    by_pair = {(inst.d_index[e.driver], inst.r_index[e.rider]): e
-               for e in inst.edges}
-    chosen = []
-    for i, j in zip(rows, cols):
-        e = by_pair.get((i, j))
-        if e is not None and inst.pw[i, j] > 0.0:
-            chosen.append(e)
-    return chosen
+    return [inst.by_pair[i, j] for i, j in zip(rows, cols)
+            if inst.has_edge[i, j] and inst.pw[i, j] > 0.0]
 
 
 def problem_to_json(problem: MatchingProblem) -> str:

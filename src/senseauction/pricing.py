@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assignment import (WELFARE, MatchingProblem, MatchingSolution,
-                         marginal_objective, solve, welfare_marginals)
+from .assignment import (SENSING, WELFARE, MatchingProblem, MatchingSolution,
+                         sensing_marginals, settle_index, solve,
+                         welfare_marginals)
 from .errors import ContractError
 from .market import Rates, participant_utilities
 
@@ -59,17 +60,19 @@ class EpochSettlement:
     sensing_total: float
 
 
-def compute_marginals(problem: MatchingProblem,
-                      solution: MatchingSolution) -> dict[str, float]:
+def compute_marginals(problem: MatchingProblem, solution: MatchingSolution,
+                      index=None) -> dict[str, float]:
     """Re-solved objective with each matched participant removed in turn.
 
-    Welfare removals share one welfare matrix per epoch; each sensing
-    removal is an independent exact solve.
+    `solution` is the problem's optimum and `index` its settle_index (built
+    here when not given); every removal is priced from that one index.
     """
     participants = solution.matched_drivers + solution.matched_riders
     if problem.objective == WELFARE:
-        return welfare_marginals(problem, participants)
-    return {p: marginal_objective(problem, p) for p in participants}
+        return welfare_marginals(problem, participants, index)
+    if problem.objective == SENSING:
+        return sensing_marginals(problem, solution, participants, index)
+    raise ContractError(f"unknown objective {problem.objective!r}")
 
 
 def vcg_prices(solution: MatchingSolution,
@@ -140,14 +143,16 @@ def ds_prices(solution: MatchingSolution, sensing_marginals: dict[str, float],
 
 def settle_epoch(mechanism: str, problem: MatchingProblem, rates: Rates,
                  floor_enabled: bool = True) -> EpochSettlement:
-    """Solve, compute removal marginals, and price one epoch's market."""
+    """Solve, compute removal marginals, and price one epoch's market.
+
+    The solve and the removal marginals share one settle_index, built here.
+    """
+    if mechanism not in (VCG, DS):
+        raise ContractError(f"unknown mechanism {mechanism!r}")
+    problem.objective = WELFARE if mechanism == VCG else SENSING
+    index = settle_index(problem)
+    solution = solve(problem, index)
+    marginals = compute_marginals(problem, solution, index)
     if mechanism == VCG:
-        problem.objective = "welfare"
-        solution = solve(problem)
-        return vcg_prices(solution, compute_marginals(problem, solution))
-    if mechanism == DS:
-        problem.objective = "sensing"
-        solution = solve(problem)
-        return ds_prices(solution, compute_marginals(problem, solution),
-                         rates, floor_enabled=floor_enabled)
-    raise ContractError(f"unknown mechanism {mechanism!r}")
+        return vcg_prices(solution, marginals)
+    return ds_prices(solution, marginals, rates, floor_enabled=floor_enabled)
