@@ -34,6 +34,27 @@ Which path runs:
   feasible matchings, so no removal's optimum exceeds U*. Most driver
   removals cost one LSA. Markets with per-edge zeta, which only the
   property harness draws, re-solve each removal with marginal_objective.
+- Floor bound (_FloorBound) in the three per-rider-zeta searches: pass 1
+  (_optimal_primary_riders, also every DS removal) and pass 2
+  (_pass2_riders). Their zeta bound, prefix sums, cannot see the welfare
+  floor. Lagrangian relaxation of the floor can: for lam >= 0, sum(zeta)
+  <= max over matchings of sum(zeta + lam * sigma) for every matching that
+  meets it, and at a node that maximum is one LSA (forced riders must be
+  served, excluded ones cannot). lam is computed once per settle, on first
+  use, by breakpoint iteration on the root bound (_Instance.
+  floor_multiplier, a few LSAs) and kept on the settle's _Instance, never on
+  the problem; the solve, pass 2 and every removal share it. A search turns
+  the bound on after _LAGRANGE_AFTER nodes. A child whose parent's
+  Lagrangian matching still fits it inherits the bound without an LSA, and
+  an inner node whose held matching has welfare >= _FLOOR_SLACK skips the
+  big-M welfare relaxation, which it would pass for sure.
+- Prune-only rule: the bound removes only subtrees in which the search
+  without it would accept no leaf (pass 1) or tie-break no rider set
+  (pass 2), with slack for the floor's 1e-9 tolerance and the big-M
+  relaxation's rounding. So the full solve reaches the same pass-1 seed,
+  visits the same pass-2 leaves in the same order and returns the same
+  matching. Only a removal search, which needs just the value, also takes a
+  node's Lagrangian matching as its incumbent when its welfare is >= -1e-9.
 """
 
 from __future__ import annotations
@@ -53,6 +74,19 @@ from .gridworld import GridWorld, ProspectModel, opportunity_cost, route
 
 _TOL = 1e-9
 _PRUNE_TOL = 1e-12
+# A rider-subset search turns its Lagrangian floor bound on after this many
+# nodes. Measured in LSA calls per settle: from 8 down, searches too short to
+# repay the multiplier and the bound's own solves add 3-10% on 8x8 markets;
+# from 32 up, the bound starts late on 150-driver ds markets (stress18-vcg-e10:
+# 329 LSAs at 16, 399 at 32, 419 without the bound).
+_LAGRANGE_AFTER = 16
+# Welfare margin between the Lagrangian tests and the big-M welfare
+# relaxation (relaxed_sigma) they must agree with. That relaxation rounds
+# each forced term at ulp(big), about 2e-9 on 150-driver markets (big ~1e7),
+# so its totals and its LSA's choice can be off by ~1e-7 there. A prune
+# grants leaves lam * 1e-4 more bound than the floor allows, and a node
+# skips relaxed_sigma only when a matching it holds has welfare >= 1e-4.
+_FLOOR_SLACK = 1e-4
 
 WELFARE = "welfare"
 SENSING = "sensing"
@@ -307,7 +341,8 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
         out[p], _ = _optimal_primary_riders(
             index.s_raw[grid], index.has_edge[grid], index.by_pair[grid],
             {riders[j]: c for c, j in enumerate(cols)}, zr,
-            incumbent=optimal_set - {p}, target=solution.objective_value)
+            incumbent=optimal_set - {p}, target=solution.objective_value,
+            floor_lam=index.floor_multiplier)
     return out
 
 
@@ -439,6 +474,49 @@ class _Instance:
             self.pw = self.sw
             self.p_raw = self.s_raw
         self._memo: dict = {}
+        self._floor_lam: float | None = None
+
+    def floor_multiplier(self) -> float:
+        """The multiplier of the sensing program's welfare floor.
+
+        The lam >= 0 minimising g(lam) = max over matchings of
+        sum(primary + lam * sigma), the Lagrangian bound on the primary total
+        of any matching that meets the floor. Computed on first use and kept,
+        so the solve, pass 2 and every removal of a settle share one lam;
+        removals search slices of this index, and any lam >= 0 bounds them.
+
+        g is convex and piecewise linear, and each LSA returns one of its
+        lines: a matching's primary and welfare totals. Breakpoint (Newton)
+        iteration intersects the lowest known line of negative slope with
+        the lowest of non-negative slope (at first the empty matching's) and
+        solves there, until the solve finds no higher line.
+        """
+        if self._floor_lam is None:
+            full_d = np.ones(len(self.d_index), dtype=bool)
+            full_r = np.ones(len(self.r_index), dtype=bool)
+
+            def line(lam):
+                w = self.lagrange_weights(self.p_raw, self.s_raw, lam)
+                _, pick = self.bound_pairs(w, full_d, full_r)
+                return (_canonical_sum(pick, self.primary),
+                        _canonical_sum(pick, "sigma"))
+
+            a_lo, b_lo = line(0.0)
+            a_hi = b_hi = lam = 0.0
+            # Each pass finds a line of g not seen before, so this ends; the
+            # cap only guards against rounding, since any lam >= 0 is valid.
+            for _ in range(64 if b_lo < 0.0 else 0):
+                lam = max((a_hi - a_lo) / (b_lo - b_hi), 0.0)
+                a, b = line(lam)
+                top = a_lo + lam * b_lo
+                if a + lam * b <= top + _PRUNE_TOL * (1.0 + abs(top)):
+                    break
+                if b < 0.0:
+                    a_lo, b_lo = a, b
+                else:
+                    a_hi, b_hi = a, b
+            self._floor_lam = lam
+        return self._floor_lam
 
     def lagrange_weights(self, obj: np.ndarray, cons: np.ndarray,
                          lam: float) -> np.ndarray:
@@ -509,8 +587,84 @@ def _per_rider_values(edges, attr: str):
     return values
 
 
+@dataclass(frozen=True)
+class _Relaxed:
+    """One Lagrangian node solve: its value, the riders its matching serves
+    beyond the forced ones, the matching's cells and its welfare."""
+    value: float
+    served: frozenset
+    rows: np.ndarray
+    cols: np.ndarray
+    sigma: float
+
+
+class _FloorBound:
+    """Lagrangian bound on the sensing total below a rider-subset node.
+
+    For lam >= 0, any matching M with sum(sigma) >= 0 has sum(zeta) <=
+    sum(zeta + lam * sigma) over M. Over the matchings that serve the node's
+    forced riders and none of its excluded ones, that maximum is one LSA,
+    because the assignment polytope is integral: forced columns carry
+    zeta + lam * sigma and -inf on missing edges; an undecided column may
+    also stay unserved, so it carries max(zeta + lam * sigma, 0) and 0 on
+    missing edges, and zero-weight dummy rows (-inf under forced columns)
+    make up any shortfall of drivers. An infeasible LSA (ValueError) means
+    no matching serves the forced riders.
+
+    `slack` covers what the prune tests must grant: lam * _FLOOR_SLACK of
+    welfare tolerance, and the rounding of a sum of up to n weights.
+    """
+
+    def __init__(self, s_raw, has_edge, r_index, zr, lam: float):
+        self.lam = lam
+        self.s_raw = s_raw
+        zeta = np.zeros(has_edge.shape[1])
+        for r, j in r_index.items():
+            zeta[j] = zr[r]
+        w = zeta[None, :] + lam * s_raw
+        # [forced?, column, row], so a node's matrix is one gather.
+        self.by_status = np.stack((np.where(has_edge, np.maximum(w, 0.0), 0.0).T,
+                                   np.where(has_edge, w, -np.inf).T))
+        # An undecided column that no edge gives a positive weight is never
+        # served, so it is left out of every solve.
+        self.useful = self.by_status[0].max(axis=1, initial=0.0) > 0.0
+        scale = float(np.abs(w[has_edge]).max(initial=0.0))
+        self.slack = (lam * _FLOOR_SLACK
+                      + 1e-12 * (1.0 + has_edge.shape[1] * scale))
+
+    def __call__(self, forced_cols, open_cols) -> _Relaxed | None:
+        n_f = len(forced_cols)
+        cols = forced_cols + [j for j in open_cols if self.useful[j]]
+        n_d, n_c = self.s_raw.shape[0], len(cols)
+        if n_c == 0:
+            return _Relaxed(0.0, frozenset(), np.empty(0, int),
+                            np.empty(0, int), 0.0)
+        w = self.by_status[[1] * n_f + [0] * (n_c - n_f), cols].T
+        if n_d < n_c:
+            pad = np.zeros((n_c - n_d, n_c))
+            pad[:, :n_f] = -np.inf
+            w = np.vstack((w, pad))
+        try:
+            ri, ci = linear_sum_assignment(w, maximize=True)
+        except ValueError:
+            return None
+        picked = w[ri, ci]
+        keep = (ri < n_d) & ((ci < n_f) | (picked > 0.0))
+        rows, ci = ri[keep], ci[keep]
+        cols = np.asarray(cols)[ci]
+        return _Relaxed(float(picked.sum()),
+                        frozenset(cols[ci >= n_f].tolist()),
+                        rows, cols, float(self.s_raw[rows, cols].sum()))
+
+
+def _forced_cols(status, r_idx, k):
+    """Columns of the riders a rider-subset node at depth k forces in."""
+    return [r_idx[m] for m in range(k) if status[m] == 1]
+
+
 def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
-                            incumbent=frozenset(), target=math.inf):
+                            incumbent=frozenset(), target=math.inf,
+                            floor_lam=None):
     """Pass 1 specialised to per-rider primary values with the welfare floor.
 
     The primary total depends only on which riders are matched, so branch
@@ -523,6 +677,13 @@ def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
     (routed first and kept only if it meets the floor) and the full
     market's optimum as `target`; the search ends once its best value
     reaches target - _PRUNE_TOL.
+
+    After _LAGRANGE_AFTER nodes the search also prunes with _FloorBound at
+    the multiplier `floor_lam()` (the settle index's floor_multiplier), and
+    only where the prefix bound would let no leaf beat best_p either: the
+    full solve then returns the same matching. A removal search, which
+    needs only the value, also takes a node's Lagrangian matching as its
+    incumbent when that matching meets the floor.
     """
     n_d = s_raw.shape[0]
     riders = sorted(r_index, key=lambda r: (-zr[r], r))
@@ -534,9 +695,10 @@ def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
     required_edge = np.where(has_edge, s_raw + big, -big)
     optional_edge = np.where(has_edge, np.maximum(s_raw, 0.0), 0.0)
 
-    def relaxed_sigma(status):
+    def relaxed_sigma(status, with_pairs=False):
         # Max welfare with 'in' riders forced, 'undecided' optional and
         # 'out' riders removed; upper-bounds the welfare of any completion.
+        # The matching's edges are returned when `with_pairs`.
         cols = [(k, j) for k, j in enumerate(r_idx) if status[k] != 2]
         if not cols:
             return 0.0, ()
@@ -556,15 +718,16 @@ def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
         total = 0.0
         pairs = []
         for c, i in got.items():
-            j = cols[c][1]
             if c in required_set:
                 if w[i, c] <= -big / 2:
                     return None, ()
                 total += w[i, c] - big
-                pairs.append(by_pair[i, j])
             elif w[i, c] > 0.0:
                 total += w[i, c]
-                pairs.append(by_pair[i, j])
+            else:
+                continue
+            if with_pairs:
+                pairs.append(by_pair[i, cols[c][1]])
         return total, tuple(pairs)
 
     best_p = 0.0
@@ -572,7 +735,7 @@ def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
     if incumbent:
         # The leaf test of recurse, on the incumbent's rider set.
         status = [1 if r in incumbent else 2 for r in riders]
-        sig, pairs = relaxed_sigma(status)
+        sig, pairs = relaxed_sigma(status, with_pairs=True)
         cur_p = 0.0
         for r, st in zip(riders, status):
             if st == 1:
@@ -581,9 +744,13 @@ def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
             best_p, best_chosen = cur_p, pairs
     status = [0] * len(riders)
     stop = target - _PRUNE_TOL
+    nodes = 0
+    lag = None
 
-    def recurse(k, n_in, cur_p):
-        nonlocal best_p, best_chosen
+    def recurse(k, n_in, cur_p, held):
+        # `held` is the parent's _Relaxed when its matching also fits here,
+        # so this node's Lagrangian bound is the same and costs no LSA.
+        nonlocal best_p, best_chosen, nodes, lag
         if best_p >= stop:
             return
         cap = n_d - n_in
@@ -594,23 +761,46 @@ def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
         ub = cur_p + (suffix[k] - suffix[k + take])
         if ub <= best_p + _PRUNE_TOL:
             return
-        sig, pairs = relaxed_sigma(status)
-        if sig is None or sig < -_TOL:
-            return
-        if k == len(riders):
+        nodes += 1
+        if nodes > _LAGRANGE_AFTER and lag is None and floor_lam is not None:
+            lag = _FloorBound(s_raw, has_edge, r_index, zr, floor_lam())
+        if lag is not None:
+            if held is None:
+                held = lag(_forced_cols(status, r_idx, k), r_idx[k:])
+                if held is None:
+                    return
+                if target < math.inf and held.sigma >= -_TOL:
+                    pairs = tuple(by_pair[held.rows, held.cols])
+                    p_held = _canonical_sum(pairs, "zeta")
+                    if p_held > best_p:
+                        best_p, best_chosen = p_held, pairs
+                        if best_p >= stop:
+                            return
+            if held.value + lag.slack <= best_p + _PRUNE_TOL:
+                return
+        leaf = k == len(riders)
+        # A held matching with welfare >= _FLOOR_SLACK passes this test for
+        # sure, so an inner node need not run it.
+        if leaf or held is None or held.sigma < _FLOOR_SLACK:
+            sig, pairs = relaxed_sigma(status, with_pairs=leaf)
+            if sig is None or sig < -_TOL:
+                return
+        if leaf:
             # All riders decided; `pairs` matches exactly the 'in' riders
             # plus welfare-positive optional edges of none (no undecided).
             if cur_p > best_p:
                 best_p, best_chosen = cur_p, pairs
             return
+        served = held is not None and r_idx[k] in held.served
         if n_in < n_d:
             status[k] = 1
-            recurse(k + 1, n_in + 1, cur_p + zr[riders[k]])
+            recurse(k + 1, n_in + 1, cur_p + zr[riders[k]],
+                    held if served else None)
         status[k] = 2
-        recurse(k + 1, n_in, cur_p)
+        recurse(k + 1, n_in, cur_p, None if served else held)
         status[k] = 0
 
-    recurse(0, 0, 0.0)
+    recurse(0, 0, 0.0, None)
     return _canonical_sum(best_chosen, "zeta"), best_chosen
 
 
@@ -683,6 +873,13 @@ def _pass2_riders(inst: _Instance, zr: dict, p_star: float, floor: bool,
     search enumerates rider subsets attaining the optimum (relaxed required
     assignments pruning infeasible or lower-welfare branches) and tie-breaks
     each candidate set with _best_for_set.
+
+    After _LAGRANGE_AFTER nodes it also prunes with _FloorBound at the
+    index's floor_multiplier: a leaf this search tie-breaks holds zeta of at
+    least p_star and, if it can still win, welfare of at least the best
+    key's, so a subtree whose bound falls below p_star + lam * that welfare
+    (less the slack) holds none. The leaves visited, and their order, are
+    those of the search without the bound.
     """
     n_d = len(inst.d_index)
     riders = sorted(zr, key=lambda r: (-zr[r], r))
@@ -715,29 +912,50 @@ def _pass2_riders(inst: _Instance, zr: dict, p_star: float, floor: bool,
             return None
         return total - n_req * big
 
-    def recurse(k, n_in, cur_p):
-        nonlocal best_key, best_chosen
+    nodes = 0
+    lag = None
+
+    def recurse(k, n_in, cur_p, held):
+        # `held` is inherited as in _optimal_primary_riders.
+        nonlocal best_key, best_chosen, nodes, lag
         take = min(n_d - n_in, len(riders) - k)
         if cur_p + (suffix[k] - suffix[k + take]) < p_star - _PRUNE_TOL:
             return
-        sig = relaxed_sigma(k)
-        if sig is None or (floor and sig < -_TOL):
-            return
-        if sig < best_key[1] - _PRUNE_TOL:
-            return
+        nodes += 1
+        if nodes > _LAGRANGE_AFTER and lag is None:
+            lag = _FloorBound(inst.s_raw, inst.has_edge, inst.r_index, zr,
+                              inst.floor_multiplier() if floor else 0.0)
+        if lag is not None:
+            if held is None:
+                held = lag(_forced_cols(status, r_idx, k), r_idx[k:])
+                if held is None:
+                    return
+            if (held.value + lag.slack
+                    < p_star - _TOL + lag.lam * best_key[1]):
+                return
+        # As in _optimal_primary_riders, a held matching with enough welfare
+        # passes both welfare tests for sure.
+        if held is None or held.sigma < max(best_key[1], 0.0) + _FLOOR_SLACK:
+            sig = relaxed_sigma(k)
+            if sig is None or (floor and sig < -_TOL):
+                return
+            if sig < best_key[1] - _PRUNE_TOL:
+                return
         if k == len(riders):
             cols = [r_idx[m] for m in range(len(riders)) if status[m] == 1]
             best_key, best_chosen = _best_for_set(inst, sorted(cols), floor,
                                                   best_key, best_chosen)
             return
+        served = held is not None and r_idx[k] in held.served
         if n_in < n_d:
             status[k] = 1
-            recurse(k + 1, n_in + 1, cur_p + zr[riders[k]])
+            recurse(k + 1, n_in + 1, cur_p + zr[riders[k]],
+                    held if served else None)
         status[k] = 2
-        recurse(k + 1, n_in, cur_p)
+        recurse(k + 1, n_in, cur_p, None if served else held)
         status[k] = 0
 
-    recurse(0, 0, 0.0)
+    recurse(0, 0, 0.0, None)
     return best_chosen
 
 
@@ -747,7 +965,8 @@ def _optimal_primary(inst: _Instance, floor: bool):
         zr = _per_rider_values(inst.edges, "zeta")
         if zr is not None:
             return _optimal_primary_riders(inst.s_raw, inst.has_edge,
-                                           inst.by_pair, inst.r_index, zr)
+                                           inst.by_pair, inst.r_index, zr,
+                                           floor_lam=inst.floor_multiplier)
     n_d, n_r = len(inst.d_index), len(inst.r_index)
     free_d = np.ones(n_d, dtype=bool)
     free_r = np.ones(n_r, dtype=bool)

@@ -234,17 +234,12 @@ def reprice_fixed_matching(inst: RandomInstance,
         welfare_total=welfare)
     shares = {m.driver: m.share_d for m in settlement.priced}
     shares.update({m.rider: m.share_r for m in settlement.priced})
-    # Rebuild marginals consistent with the frozen shares.
+    # Rebuild marginals consistent with the frozen shares: any positive
+    # scale of the shares gives them back, so take them verbatim.
     u_star = settlement.solution.objective_value
-    marginals = {p: u_star - s * _share_scale(settlement)
-                 for p, s in shares.items()}
+    marginals = {p: u_star - s for p, s in shares.items()}
     return pricing.ds_prices(new_solution, marginals, inst.rates,
                              floor_enabled=floor_enabled)
-
-
-def _share_scale(settlement: pricing.EpochSettlement) -> float:
-    # Any positive scale reproduces the same shares; 1.0 keeps them verbatim.
-    return 1.0
 
 
 def check_group_ic(inst: RandomInstance, rng: np.random.Generator,

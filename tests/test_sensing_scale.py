@@ -1,18 +1,25 @@
 """Sensing program at simulator sizes: DS removal marginals priced from one
-sliced index per settle against the per-removal exact solve they replace.
+sliced index per settle against the per-removal exact solve they replace,
+the Lagrangian floor bound against the search without it and against brute
+force, and the solve against a HiGHS MILP.
 
 The markets are every ds market of a default-scale run and seeded markets
 with per-rider integer zeta and co-located drivers, where equal rider sets
-and equal assignments tie exactly.
+and equal assignments tie exactly; the floor-binding ones add a cost to every
+driver, so the highest-zeta riders cannot all be served.
 """
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_matrix
 
 from senseauction import assignment as asg
-from senseauction import pricing
+from senseauction import oracle, pricing
 from senseauction.assignment import CandidateEdge, MatchingProblem
 from senseauction.errors import ContractError
 from senseauction.pricing import DS, VCG, ds_prices, settle_epoch
@@ -225,3 +232,219 @@ def test_one_problem_settles_like_fresh_ones_across_mechanisms():
         for mechanism in (VCG, DS, VCG):
             assert (settle_epoch(mechanism, shared, RATES)
                     == settle_epoch(mechanism, copy_of(problem), RATES))
+
+
+# --- Lagrangian floor bound -------------------------------------------------
+
+def floor_binding_market(seed, n_d, n_r, cost=5.0):
+    """random_market (co-located drivers) with every driver's cost raised by
+    `cost` and an integer zeta per rider: 3-5 for riders whose every edge
+    then has negative welfare, 0-3 for the rest."""
+    problem = random_market(seed, n_d, n_r, colocated=True)
+    rng = np.random.default_rng(seed + 2000)
+    best = {}
+    for e in problem.edges:
+        best[e.rider] = max(best.get(e.rider, -math.inf), e.sigma - cost)
+    zeta = {r: float(rng.integers(3, 6) if v < 0.0 else rng.integers(0, 4))
+            for r, v in sorted(best.items())}
+    edges = [dataclasses.replace(e, P_d=e.P_d + cost, zeta=zeta[e.rider])
+             for e in problem.edges]
+    return MatchingProblem(edges, problem.drivers, problem.riders,
+                           objective=asg.SENSING)
+
+
+FLOOR_BINDING = [floor_binding_market(seed, n_d, n_r)
+                 for n_d, n_r in ((10, 10), (20, 12), (30, 16), (40, 20))
+                 for seed in range(3)]
+
+
+def settle_values(problem):
+    """(chosen, removal marginals) of a fresh sensing settle."""
+    problem = MatchingProblem(problem.edges, problem.drivers, problem.riders,
+                              objective=asg.SENSING)
+    index = asg.settle_index(problem)
+    solution = asg.solve(problem, index)
+    participants = solution.matched_drivers + solution.matched_riders
+    return solution.chosen, asg.sensing_marginals(problem, solution,
+                                                  participants, index)
+
+
+def test_floor_bound_only_prunes(sim_markets, monkeypatch):
+    """The bound changes neither the returned matching (edges and order) nor
+    a removal marginal beyond 1e-12, whether it starts after the default
+    node count or at the first node."""
+    binding = [p for p in FLOOR_BINDING
+               if asg.settle_index(p).floor_multiplier() > 0.0]
+    assert len(binding) >= 9
+    calls = lsa_calls(monkeypatch)
+    solves = []
+    bound = asg._FloorBound
+
+    class Counted(bound):
+        def __call__(self, *args):
+            solves.append(1)
+            return super().__call__(*args)
+
+    monkeypatch.setattr(asg, "_FloorBound", Counted)
+    default = asg._LAGRANGE_AFTER
+    used = {}
+    for after in (math.inf, default, 0):
+        monkeypatch.setattr(asg, "_LAGRANGE_AFTER", after)
+        before = len(calls), len(solves)
+        results = [settle_values(p) for p in sim_markets + binding]
+        used[after] = len(calls) - before[0], len(solves) - before[1]
+        if after == math.inf:
+            want = results
+            continue
+        for (chosen, marginals), (want_chosen, want_marginals) in zip(
+                results, want, strict=True):
+            assert chosen == want_chosen
+            assert marginals.keys() == want_marginals.keys()
+            for p, v in marginals.items():
+                assert abs(v - want_marginals[p]) <= 1e-12, (p, v)
+    assert used[math.inf][1] == 0
+    assert used[default][1] > 0 and used[0][1] > used[default][1]
+    # Pruning pays for the bound's own solves.
+    assert used[default][0] < used[math.inf][0], used
+
+
+def tiny_market(seed):
+    """At most 6x6, per-rider integer zeta, mixed-sign welfare."""
+    rng = np.random.default_rng(seed)
+    n_d, n_r = (int(v) for v in rng.integers(2, 7, 2))
+    return floor_binding_market(seed, n_d, n_r,
+                                cost=float(rng.uniform(0.0, 8.0)))
+
+
+def test_floor_bound_is_valid_and_tight_against_brute_force():
+    """For forced, excluded and undecided riders and several lam >= 0, the
+    bound is the best sum(zeta + lam * sigma) over matchings that serve
+    every forced rider and no excluded one, so it is at least the best such
+    matching that meets the floor; it is None exactly when no matching
+    serves the forced riders."""
+    rng = np.random.default_rng(7)
+    checked = infeasible = 0
+    for seed in range(40):
+        problem = tiny_market(seed)
+        inst = asg.settle_index(problem)
+        zr = asg._per_rider_values(inst.edges, "zeta")
+        big = 1000.0
+        for lam in (0.0, 0.05, inst.floor_multiplier(), 1.0, 4.0):
+            bound = asg._FloorBound(inst.s_raw, inst.has_edge, inst.r_index,
+                                    zr, lam)
+            for _ in range(6):
+                status = {r: int(rng.integers(0, 3)) for r in inst.r_index}
+                forced = [r for r in status if status[r] == 1]
+                got = bound([inst.r_index[r] for r in forced],
+                            [inst.r_index[r] for r in status
+                             if status[r] == 0])
+
+                def best(value, floor):
+                    # Forced riders carry a bonus no other choice outweighs.
+                    edges = [dataclasses.replace(
+                        e, zeta=value(e) + big * (status[e.rider] == 1))
+                        for e in problem.edges if status[e.rider] != 2]
+                    v, _, pairs = oracle.brute_force_solve(
+                        MatchingProblem(edges, problem.drivers,
+                                        problem.riders, asg.SENSING),
+                        floor=floor)
+                    served = {r for _, r in pairs}
+                    return (v - big * len(forced)
+                            if served >= set(forced) else None)
+
+                lagrangian = best(lambda e: e.zeta + lam * e.sigma, False)
+                if lagrangian is None:
+                    assert got is None
+                    infeasible += 1
+                    continue
+                assert got is not None
+                assert got.value == pytest.approx(lagrangian, abs=1e-9)
+                cells = list(zip(got.rows.tolist(), got.cols.tolist()))
+                assert len({i for i, _ in cells}) == len(cells)
+                assert {inst.r_index[r] for r in forced} <= {
+                    j for _, j in cells}
+                assert got.served == {j for _, j in cells} - {
+                    inst.r_index[r] for r in forced}
+                # A matching meets the floor at sum(sigma) >= -1e-9.
+                floor_best = best(lambda e: e.zeta, True)
+                if floor_best is not None:
+                    assert got.value + lam * 1e-9 >= floor_best - 1e-9
+                checked += 1
+    assert checked > 500 and infeasible > 20, (checked, infeasible)
+
+
+def test_floor_multiplier_minimises_the_root_bound():
+    """floor_multiplier is 0 when the zeta-optimal matching meets the floor,
+    and otherwise no lam on a grid gives a lower root bound."""
+    feasible_at_zero = 0
+    for problem in FLOOR_BINDING[:6] + SEEDED[:2]:
+        inst = asg._Instance(problem.edges, "zeta")
+        full_d = np.ones(len(inst.d_index), dtype=bool)
+        full_r = np.ones(len(inst.r_index), dtype=bool)
+
+        def g(lam):
+            w = inst.lagrange_weights(inst.p_raw, inst.s_raw, lam)
+            return inst.bound_pairs(w, full_d, full_r)
+
+        lam = inst.floor_multiplier()
+        if sum(e.sigma for e in g(0.0)[1]) >= 0.0:
+            feasible_at_zero += 1
+            assert lam == 0.0
+        assert lam >= 0.0
+        grid = np.linspace(0.0, 3.0, 301)
+        assert g(lam)[0] <= min(g(x)[0] for x in grid) + 1e-9
+        assert inst.floor_multiplier() == lam   # kept, not recomputed
+    assert 0 < feasible_at_zero < 8
+
+
+# --- exactness against HiGHS ------------------------------------------------
+
+def milp_sensing(problem):
+    """Rider-subset MILP: binary y_r per rider, continuous edge flows; for
+    integral y the bipartite rows have integral vertices, so it is exact."""
+    edges = problem.edges
+    zeta = {e.rider: e.zeta for e in edges}
+    drivers = {d: i for i, d in enumerate(sorted({e.driver for e in edges}))}
+    riders = {r: j for j, r in enumerate(sorted(zeta))}
+    n, n_d, n_r = len(edges), len(drivers), len(riders)
+    rows = np.concatenate([[drivers[e.driver] for e in edges],
+                           [n_d + riders[e.rider] for e in edges],
+                           n_d + np.arange(n_r)])
+    cols = np.concatenate([np.arange(n), np.arange(n), n + np.arange(n_r)])
+    vals = np.concatenate([np.ones(2 * n), -np.ones(n_r)])
+    degree = coo_matrix((vals, (rows, cols)), shape=(n_d + n_r, n + n_r))
+    welfare = np.concatenate([[e.sigma for e in edges], np.zeros(n_r)])
+    res = milp(c=-np.concatenate([np.zeros(n), [zeta[r] for r in riders]]),
+               integrality=np.concatenate([np.zeros(n), np.ones(n_r)]),
+               bounds=Bounds(0.0, 1.0),
+               constraints=[LinearConstraint(
+                   degree, np.r_[np.full(n_d, -np.inf), np.zeros(n_r)],
+                   np.r_[np.ones(n_d), np.zeros(n_r)]),
+                   LinearConstraint(welfare[None, :], 0.0, np.inf)],
+               options={"mip_rel_gap": 0.0})
+    assert res.success, res.message
+    return float(sum(zeta[r] for r, j in riders.items()
+                     if res.x[n + j] > 0.5))
+
+
+def test_solve_equals_milp_on_floor_binding_markets():
+    sizes = ((10, 10), (20, 12), (30, 16), (40, 20), (50, 25), (60, 30))
+    binding = 0
+    for (n_d, n_r), seed in itertools.product(sizes, range(3)):
+        problem = floor_binding_market(seed, n_d, n_r)
+        index = asg.settle_index(problem)
+        solution = asg.solve(problem, index)
+        binding += index.floor_multiplier() > 0.0
+        assert solution.objective_value == pytest.approx(
+            milp_sensing(problem), abs=1e-9)
+        # Re-check the returned edges in float: real edges, one-to-one, and
+        # the welfare floor.
+        edges = {e.pair: e for e in problem.edges}
+        chosen = solution.chosen
+        assert all(edges[e.pair] == e for e in chosen)
+        assert len({e.driver for e in chosen}) == len(chosen)
+        assert len({e.rider for e in chosen}) == len(chosen)
+        assert math.fsum(e.sigma for e in chosen) >= -1e-9
+        assert solution.objective_value == pytest.approx(
+            math.fsum(e.zeta for e in chosen), abs=1e-12)
+    assert binding >= 12, binding
