@@ -23,7 +23,11 @@ Which path runs:
 - VCG removal marginals (welfare_marginals): each removal is one LSA on the
   welfare matrix with the participant's row or column, and every row and
   column left without an edge, dropped.
-- Sensing: the exact two-pass branch-and-bound solves the market.
+- Sensing: zeta is the gain of the requested trip, one value per rider. The
+  sensing _Instance maps each rider to it once and raises ContractError when
+  one rider's edges carry two values. Both passes search rider subsets
+  (_optimal_primary_riders, _pass2_riders), since the sensing total depends
+  only on which riders are served.
 - DS removal marginals (sensing_marginals): each removal is a slice of the
   settle's _Instance, with rows and columns dropped as for VCG, so the
   rider-subset search sees exactly the arrays a rebuilt reduced index would
@@ -32,9 +36,8 @@ Which path runs:
   meets the welfare floor, and ends once it reaches the full optimum U*
   (within 1e-12). That is exact: removing a participant only deletes
   feasible matchings, so no removal's optimum exceeds U*. Most driver
-  removals cost one LSA. Markets with per-edge zeta, which only the
-  property harness draws, re-solve each removal with marginal_objective.
-- Floor bound (_FloorBound) in the three per-rider-zeta searches: pass 1
+  removals cost one LSA.
+- Floor bound (_FloorBound) in the three rider-subset searches: pass 1
   (_optimal_primary_riders, also every DS removal) and pass 2
   (_pass2_riders). Their zeta bound, prefix sums, cannot see the welfare
   floor. Lagrangian relaxation of the floor can: for lam >= 0, sum(zeta)
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +73,7 @@ from scipy.sparse import coo_matrix
 
 from . import market, sensing as sensing_mod
 from .errors import ContractError
-from .gridworld import GridWorld, ProspectModel, opportunity_cost, route
+from .gridworld import GridWorld, ProspectModel, opportunity_cost
 
 _TOL = 1e-9
 _PRUNE_TOL = 1e-12
@@ -254,8 +257,10 @@ def solve(problem: MatchingProblem, index=None) -> MatchingSolution:
 def marginal_objective(problem: MatchingProblem, remove: str) -> float:
     """Optimal objective after removing one participant's edges.
 
-    Only the optimal value is needed for pricing, so this skips the
-    tie-break pass of the full solver.
+    A per-removal reference for tests: settles price removals with
+    welfare_marginals and sensing_marginals, and tests compare those against
+    this. It rebuilds the reduced problem's index and runs pass 1 of the
+    exact search.
     """
     if remove not in problem.drivers and remove not in problem.riders:
         raise ContractError(f"participant {remove!r} not in problem")
@@ -321,15 +326,11 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
     """marginal_objective under the sensing objective, for many removals.
 
     `solution` must be the sensing optimum of `problem` and `inst` its
-    settle index (built here when not given). With per-rider zeta each
-    removal is a slice of that index, searched from a warm start with an
-    early exit (see the module docstring); per-edge zeta takes
-    marginal_objective.
+    settle index (built here when not given). Each removal is a slice of
+    that index, searched from a warm start with an early exit (see the
+    module docstring).
     """
     index = _Instance(problem.edges, "zeta") if inst is None else inst
-    zr = _per_rider_values(index.edges, "zeta")
-    if zr is None:
-        return {p: marginal_objective(problem, p) for p in participants}
     riders = list(index.r_index)
     optimal_set = frozenset(solution.matched_riders)
     out = {}
@@ -340,7 +341,7 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
         grid = np.ix_(rows, cols)
         out[p], _ = _optimal_primary_riders(
             index.s_raw[grid], index.has_edge[grid], index.by_pair[grid],
-            {riders[j]: c for c, j in enumerate(cols)}, zr,
+            {riders[j]: c for c, j in enumerate(cols)}, index.zr,
             incumbent=optimal_set - {p}, target=solution.objective_value,
             floor_lam=index.floor_multiplier)
     return out
@@ -443,7 +444,11 @@ def _better(a, b) -> bool:
 
 
 class _Instance:
-    """Index structures shared by all nodes of one branch-and-bound search."""
+    """Index structures shared by all nodes of one branch-and-bound search.
+
+    With the zeta primary, `zr` maps each rider to its zeta; a rider whose
+    edges carry two values raises ContractError.
+    """
 
     def __init__(self, edges, primary: str):
         self.edges = sorted(
@@ -461,7 +466,11 @@ class _Instance:
         self.has_edge = np.zeros((n_d, n_r), dtype=bool)
         # Pair lookup as an array, so a removal can slice it like the rest.
         self.by_pair = np.empty((n_d, n_r), dtype=object)
+        self.zr: dict[str, float] = {}
         for e in self.edges:
+            if (primary == "zeta"
+                    and self.zr.setdefault(e.rider, e.zeta) != e.zeta):
+                raise ContractError(f"rider {e.rider!r} has two zeta values")
             i, j = self.d_index[e.driver], self.r_index[e.rider]
             self.pw[i, j] = max(getattr(e, primary), 0.0)
             self.sw[i, j] = max(e.sigma, 0.0)
@@ -560,14 +569,14 @@ class _Instance:
 
 def _lex_search(edges, primary: str, floor: bool,
                 inst: _Instance | None = None) -> tuple[CandidateEdge, ...]:
-    """Exact two-pass branch-and-bound over edge inclusion.
+    """Exact two-pass branch-and-bound.
 
     Pass 1 finds the optimal primary value (welfare floor respected) with
     aggressive pruning; pass 2 optimizes the tie-break key (total welfare,
     lower total pick-up distance, lexicographic edge list) among solutions
-    attaining it. Upper bounds come from unconstrained maximum-weight
-    matchings over the still-free vertices. `inst` is the _Instance of
-    `edges`, built here when not given.
+    attaining it. Pass 1 with the floor and pass 2 on zeta branch on rider
+    subsets; the others branch on edges. `inst` is the _Instance of `edges`,
+    built here when not given.
     """
     if not edges:
         return ()
@@ -575,16 +584,6 @@ def _lex_search(edges, primary: str, floor: bool,
         inst = _Instance(edges, primary)
     p_star, seed = _optimal_primary(inst, floor)
     return _best_at_optimum(inst, floor, p_star, seed)
-
-
-def _per_rider_values(edges, attr: str):
-    """Map rider -> value when every edge of a rider carries the same value."""
-    values: dict = {}
-    for e in edges:
-        v = getattr(e, attr)
-        if values.setdefault(e.rider, v) != v:
-            return None
-    return values
 
 
 @dataclass(frozen=True)
@@ -665,9 +664,9 @@ def _forced_cols(status, r_idx, k):
 def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
                             incumbent=frozenset(), target=math.inf,
                             floor_lam=None):
-    """Pass 1 specialised to per-rider primary values with the welfare floor.
+    """Pass 1 of the sensing program, with the welfare floor.
 
-    The primary total depends only on which riders are matched, so branch
+    The sensing total depends only on which riders are matched, so branch
     over rider subsets: zeta bounds come from prefix sums, floor feasibility
     from a max-welfare assignment that is forced to match the chosen riders.
     s_raw, has_edge and by_pair are an _Instance's arrays, or slices of
@@ -865,11 +864,11 @@ def _best_for_set(inst: _Instance, cols: list, floor: bool,
     return best_key, best_chosen
 
 
-def _pass2_riders(inst: _Instance, zr: dict, p_star: float, floor: bool,
+def _pass2_riders(inst: _Instance, p_star: float, floor: bool,
                   best_key, best_chosen):
-    """Pass 2 specialised to per-rider primary values.
+    """Pass 2 of the sensing program.
 
-    The primary total depends only on which riders are matched, so the
+    The sensing total depends only on which riders are matched, so the
     search enumerates rider subsets attaining the optimum (relaxed required
     assignments pruning infeasible or lower-welfare branches) and tie-breaks
     each candidate set with _best_for_set.
@@ -882,6 +881,7 @@ def _pass2_riders(inst: _Instance, zr: dict, p_star: float, floor: bool,
     those of the search without the bound.
     """
     n_d = len(inst.d_index)
+    zr = inst.zr
     riders = sorted(zr, key=lambda r: (-zr[r], r))
     r_idx = [inst.r_index[r] for r in riders]
     suffix = np.zeros(len(riders) + 1)
@@ -960,13 +960,17 @@ def _pass2_riders(inst: _Instance, zr: dict, p_star: float, floor: bool,
 
 
 def _optimal_primary(inst: _Instance, floor: bool):
-    """Pass 1: maximum primary objective and one solution attaining it."""
-    if floor and inst.primary == "zeta":
-        zr = _per_rider_values(inst.edges, "zeta")
-        if zr is not None:
-            return _optimal_primary_riders(inst.s_raw, inst.has_edge,
-                                           inst.by_pair, inst.r_index, zr,
-                                           floor_lam=inst.floor_multiplier)
+    """Pass 1: maximum primary objective and one solution attaining it.
+
+    The welfare floor belongs to the sensing program, which the rider-subset
+    search solves. Without it (welfare ties, the welfare marginal_objective,
+    the floor-free sensing check) an edge branch-and-bound runs, seeded with
+    the assignment optimum.
+    """
+    if floor:
+        return _optimal_primary_riders(inst.s_raw, inst.has_edge,
+                                       inst.by_pair, inst.r_index, inst.zr,
+                                       floor_lam=inst.floor_multiplier)
     n_d, n_r = len(inst.d_index), len(inst.r_index)
     free_d = np.ones(n_d, dtype=bool)
     free_r = np.ones(n_r, dtype=bool)
@@ -975,131 +979,39 @@ def _optimal_primary(inst: _Instance, floor: bool):
     seed = _lsa_solution(inst)
     if seed is not None:
         seed_p = sum(getattr(e, inst.primary) for e in seed)
-        if (not floor or sum(e.sigma for e in seed) >= -_TOL) and seed_p > best_p:
+        if seed_p > best_p:
             best_p, best_chosen = seed_p, tuple(seed)
 
     edge_list = inst.edges
     n_edges = len(edge_list)
     stack: list[CandidateEdge] = []
-    dual_tried = not floor
-    nodes = 0
 
-    def ensure_dual():
-        # When the welfare floor binds, the primary bound alone cannot see
-        # it and the search wanders the infeasible region. Folding sigma
-        # into the weights with a small multiplier steers the assignment
-        # toward floor-feasible matchings; the smallest feasible multiplier
-        # yields the strongest incumbent. Computed lazily so cheap instances
-        # never pay for it.
-        nonlocal dual_tried, best_p, best_chosen
-        dual_tried = True
-        full_d = np.ones(n_d, dtype=bool)
-        full_r = np.ones(n_r, dtype=bool)
-
-        def feasible_pick(m):
-            w = inst.lagrange_weights(inst.p_raw, inst.s_raw, m)
-            _, pick = inst.bound_pairs(w, full_d, full_r)
-            if pick and sum(e.sigma for e in pick) >= -_TOL:
-                return pick
-            return None
-
-        lo, hi, pick_hi = 0.0, 1.0 / 256.0, None
-        for _ in range(24):
-            pick_hi = feasible_pick(hi)
-            if pick_hi is not None:
-                break
-            lo, hi = hi, hi * 4.0
-        if pick_hi is None:
-            return
-        for _ in range(20):
-            mid = (lo + hi) / 2.0
-            pick_mid = feasible_pick(mid)
-            if pick_mid is not None:
-                hi, pick_hi = mid, pick_mid
-            else:
-                lo = mid
-        pick_p = _canonical_sum(pick_hi, inst.primary)
-        if pick_p > best_p:
-            best_p, best_chosen = pick_p, pick_hi
-
-    def recurse(idx, cur_p, cur_v, free_d, free_r):
-        nonlocal best_p, best_chosen, nodes
-        nodes += 1
-        if nodes == 512 and not dual_tried:
-            ensure_dual()
+    def recurse(idx, cur_p, free_d, free_r):
+        nonlocal best_p, best_chosen
         while idx < n_edges:
             e = edge_list[idx]
             if free_d[inst.d_index[e.driver]] and free_r[inst.r_index[e.rider]]:
                 break
             idx += 1
         if idx == n_edges:
-            if cur_p > best_p and (not floor or cur_v >= -_TOL):
+            if cur_p > best_p:
                 best_p, best_chosen = cur_p, tuple(stack)
             return
         if cur_p + inst.bound(inst.pw, free_d, free_r) <= best_p + _PRUNE_TOL:
-            return
-        if floor and cur_v + inst.bound(inst.sw, free_d, free_r) < -_TOL:
             return
         e = edge_list[idx]
         i, j = inst.d_index[e.driver], inst.r_index[e.rider]
         free_d[i] = free_r[j] = False
         stack.append(e)
-        recurse(idx + 1, cur_p + getattr(e, inst.primary), cur_v + e.sigma,
-                free_d, free_r)
+        recurse(idx + 1, cur_p + getattr(e, inst.primary), free_d, free_r)
         stack.pop()
         free_d[i] = free_r[j] = True
-        recurse(idx + 1, cur_p, cur_v, free_d, free_r)
+        recurse(idx + 1, cur_p, free_d, free_r)
 
-    recurse(0, 0.0, 0.0, free_d, free_r)
+    recurse(0, 0.0, free_d, free_r)
     # Report the optimum in canonical summation order so pass 2 and incumbent
     # candidates compare against it without summation-order noise.
     return _canonical_sum(best_chosen, inst.primary), best_chosen
-
-
-def _dual_multiplier(inst: _Instance, obj: np.ndarray, cons: np.ndarray,
-                     target: float, cons_attr: str):
-    """Approximate minimizer of a Lagrangian matching bound.
-
-    g(lam) = LSA(max(obj + lam*cons, 0)) - lam*target is convex piecewise
-    linear in lam and upper-bounds the objective total of any one-to-one
-    matching whose constraint total reaches `target`. Any lam >= 0 is a valid
-    bound, so a short ternary search for a near-minimizer is enough.
-    """
-    full_d = np.ones(len(inst.d_index), dtype=bool)
-    full_r = np.ones(len(inst.r_index), dtype=bool)
-
-    def sigma_of(e):
-        return e.sigma
-
-    attr_get = sigma_of if cons_attr == "sigma" else (
-        lambda e: getattr(e, cons_attr))
-
-    def evaluate(lam):
-        w = inst.lagrange_weights(obj, cons, lam)
-        val, pick = inst.bound_pairs(w, full_d, full_r)
-        grad = sum(attr_get(e) for e in pick) - target
-        return val - lam * target, grad, w
-
-    hi = 1.0
-    for _ in range(24):
-        _, grad, _ = evaluate(hi)
-        if grad >= 0.0:
-            break
-        hi *= 4.0
-    lo = 0.0
-    for _ in range(36):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if evaluate(m1)[0] <= evaluate(m2)[0]:
-            hi = m2
-        else:
-            lo = m1
-    lam = (lo + hi) / 2.0
-    g, _, w = evaluate(lam)
-    g0, _, _ = evaluate(0.0)
-    if lam <= 0.0 or g >= g0 - _PRUNE_TOL:
-        return 0.0, None
-    return lam, w
 
 
 def _welfare_face(inst: _Instance, tol: float = 1e-6):
@@ -1141,7 +1053,11 @@ def _welfare_face(inst: _Instance, tol: float = 1e-6):
 
 def _best_at_optimum(inst: _Instance, floor: bool, p_star: float,
                      seed: tuple[CandidateEdge, ...]):
-    """Pass 2: tie-break-optimal solution among primary-optimal matchings."""
+    """Pass 2: tie-break-optimal solution among primary-optimal matchings.
+
+    The sensing program takes the rider-subset search (_pass2_riders); the
+    welfare program, which has no floor, branches on edges.
+    """
     n_d, n_r = len(inst.d_index), len(inst.r_index)
     free_d = np.ones(n_d, dtype=bool)
     free_r = np.ones(n_r, dtype=bool)
@@ -1159,7 +1075,7 @@ def _best_at_optimum(inst: _Instance, floor: bool, p_star: float,
     for e in inst.edges:
         tau_m[inst.d_index[e.driver], inst.r_index[e.rider]] = e.tau
     for weights in (inst.sw, np.maximum(inst.sw - 1e-7 * tau_m, 0.0)):
-        ub0, sw_pick = inst.bound_pairs(weights, free_d, free_r)
+        _, sw_pick = inst.bound_pairs(weights, free_d, free_r)
         if sw_pick:
             pick_p = sum(getattr(e, inst.primary) for e in sw_pick)
             pick_v = sum(e.sigma for e in sw_pick)
@@ -1167,95 +1083,46 @@ def _best_at_optimum(inst: _Instance, floor: bool, p_star: float,
                 key = _solution_key(sw_pick, inst.primary)
                 if _better(key, best_key):
                     best_key, best_chosen = key, sw_pick
-    # Per-rider primary values make the primary total a function of the
-    # matched rider set alone; the rider-subset search is then exact and far
-    # cheaper than branching on edges.
     if inst.primary == "zeta":
-        zr = _per_rider_values(inst.edges, "zeta")
-        if zr is not None:
-            return _pass2_riders(inst, zr, p_star, floor, best_key,
-                                 best_chosen)
-    lam, lwm = 0.0, None
-    dual_tried = False
-    nodes = 0
-
-    def ensure_dual():
-        # The Lagrangian bound for the side constraint pays off only on large
-        # tie regions; compute it lazily once the plain search proves slow.
-        nonlocal lam, lwm, dual_tried, best_key, best_chosen
-        dual_tried = True
-        if inst.primary == "sigma":
-            return
-        lam, lwm = _dual_multiplier(inst, inst.s_raw, inst.p_raw, p_star,
-                                    inst.primary)
-        if lwm is None:
-            return
-        full_d = np.ones(n_d, dtype=bool)
-        full_r = np.ones(n_r, dtype=bool)
-        _, lag_pick = inst.bound_pairs(lwm, full_d, full_r)
-        if lag_pick:
-            pick_p = sum(getattr(e, inst.primary) for e in lag_pick)
-            pick_v = sum(e.sigma for e in lag_pick)
-            if pick_p >= p_star - _TOL and (not floor or pick_v >= -_TOL):
-                key = _solution_key(lag_pick, inst.primary)
-                if _better(key, best_key):
-                    best_key, best_chosen = key, lag_pick
-
-    edge_list = inst.edges
-    pw_b, sw_b = inst.pw, inst.sw
-    if inst.primary == "sigma" and not floor:
-        face = _welfare_face(inst)
-        if face is not None:
-            edge_list, sw_b = face
-            pw_b = sw_b
+        return _pass2_riders(inst, p_star, floor, best_key, best_chosen)
+    # Welfare ties: branch on the edges of the welfare face. The primary is
+    # sigma, so the welfare bound also bounds the primary.
+    edge_list, sw_b = inst.edges, inst.sw
+    face = _welfare_face(inst)
+    if face is not None:
+        edge_list, sw_b = face
     n_edges = len(edge_list)
     stack: list[CandidateEdge] = []
 
-    def recurse(idx, cur_p, cur_v, cur_t, free_d, free_r):
-        nonlocal best_key, best_chosen, nodes
-        nodes += 1
-        if nodes == 512 and not dual_tried:
-            ensure_dual()
+    def recurse(idx, cur_v, cur_t, free_d, free_r):
+        nonlocal best_key, best_chosen
         while idx < n_edges:
             e = edge_list[idx]
             if free_d[inst.d_index[e.driver]] and free_r[inst.r_index[e.rider]]:
                 break
             idx += 1
         if idx == n_edges:
-            if cur_p < p_star - _TOL or (floor and cur_v < -_TOL):
+            if cur_v < p_star - _TOL:
                 return
             key = _solution_key(stack, inst.primary)
             if _better(key, best_key):
                 best_key, best_chosen = key, tuple(stack)
             return
-        if cur_p + inst.bound(pw_b, free_d, free_r) < p_star - _TOL:
-            return
         ub_v = cur_v + inst.bound(sw_b, free_d, free_r)
-        if floor and ub_v < -_TOL:
-            return
         if ub_v < best_key[1] - _PRUNE_TOL:
             return
         if ub_v <= best_key[1] + _PRUNE_TOL and cur_t > best_key[2] + _PRUNE_TOL:
             return
-        if lwm is not None:
-            ub_l = cur_v + lam * (cur_p - p_star) + inst.bound(lwm, free_d,
-                                                               free_r)
-            if ub_l < best_key[1] - _PRUNE_TOL:
-                return
-            if (ub_l <= best_key[1] + _PRUNE_TOL
-                    and cur_t > best_key[2] + _PRUNE_TOL):
-                return
         e = edge_list[idx]
         i, j = inst.d_index[e.driver], inst.r_index[e.rider]
         free_d[i] = free_r[j] = False
         stack.append(e)
-        recurse(idx + 1, cur_p + getattr(e, inst.primary), cur_v + e.sigma,
-                cur_t + e.tau, free_d, free_r)
+        recurse(idx + 1, cur_v + e.sigma, cur_t + e.tau, free_d, free_r)
         stack.pop()
         free_d[i] = free_r[j] = True
-        recurse(idx + 1, cur_p, cur_v, cur_t, free_d, free_r)
+        recurse(idx + 1, cur_v, cur_t, free_d, free_r)
 
-    recurse(0, 0.0, 0.0, 0.0, free_d, free_r)
+    recurse(0, 0.0, 0.0, free_d, free_r)
     return best_chosen
 
 

@@ -152,6 +152,8 @@ def cmd_compare(args) -> int:
     overreport = _parse_list(args.overreport, float)
     if not seeds:
         raise ConfigurationError("empty sweep: need at least one seed")
+    if args.jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {args.jobs}")
 
     cells = []
     for mech in (pricing.VCG, pricing.DS):
@@ -193,7 +195,10 @@ def cmd_compare(args) -> int:
 
 
 def _map_cells(cells, jobs: int):
-    if jobs <= 1 or len(cells) <= 1:
+    # The pool starts all its workers up front, so never ask for more than
+    # there are cells.
+    jobs = min(jobs, len(cells))
+    if jobs <= 1:
         return [_run_cell(c) for c in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_cell, cells))

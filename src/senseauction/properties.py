@@ -38,7 +38,7 @@ class RandomInstance:
     h: dict[str, float]
     f: dict[str, float]
     tau: dict[tuple[str, str], float]
-    zeta: dict[tuple[str, str], float]
+    zeta: dict[str, float]      # per rider: the requested trip's sensing gain
 
     @property
     def tau_min_d(self) -> dict[str, float]:
@@ -67,7 +67,7 @@ class RandomInstance:
                                    self.f[r])
             P_r = rider_valuation(self.rates, self.h[r], delta[r], t, tmr[r])
             edges.append(CandidateEdge(driver=d, rider=r, tau=t, P_d=P_d,
-                                       P_r=P_r, zeta=self.zeta[(d, r)],
+                                       P_r=P_r, zeta=self.zeta[r],
                                        h_r=self.h[r]))
         return MatchingProblem(edges=edges,
                                drivers=tuple(sorted(self.b_true)),
@@ -79,7 +79,7 @@ class RandomInstance:
             "b_true": self.b_true, "delta_true": self.delta_true,
             "h": self.h, "f": self.f,
             "tau": {f"{d}|{r}": t for (d, r), t in self.tau.items()},
-            "zeta": {f"{d}|{r}": z for (d, r), z in self.zeta.items()},
+            "zeta": dict(self.zeta),
         }
 
 
@@ -89,15 +89,12 @@ def random_instance(rng: np.random.Generator, max_drivers: int = 8,
     n_r = int(rng.integers(1, max_riders + 1))
     drivers = [f"d{i}" for i in range(n_d)]
     riders = [f"r{i}" for i in range(n_r)]
-    tau, zeta = {}, {}
-    per_rider_zeta = rng.random() < 0.5
-    rider_zeta = {r: float(rng.uniform(0.01, 3.0)) for r in riders}
+    tau = {}
+    zeta = {r: float(rng.uniform(0.01, 3.0)) for r in riders}
     for d in drivers:
         for r in riders:
             if rng.random() < edge_prob:
                 tau[(d, r)] = float(rng.uniform(0.05, 2.0))
-                zeta[(d, r)] = (rider_zeta[r] if per_rider_zeta
-                                else float(rng.uniform(0.01, 3.0)))
     return RandomInstance(
         rates=Rates(alpha=1.5, beta=2.75),
         b_true={d: float(rng.uniform(1.0, 2.0)) for d in drivers},
@@ -368,18 +365,16 @@ def _with_clone(inst: RandomInstance, side: str):
         r0 = riders[0]
         rc = r0 + "_twin"
         tau = dict(inst.tau)
-        zeta = dict(inst.zeta)
         for (d, r), t in inst.tau.items():
             if r == r0:
                 tau[(d, rc)] = t
-                zeta[(d, rc)] = inst.zeta[(d, r)]
         if not any(r == r0 for (_, r) in inst.tau):
             return None
         inst2 = RandomInstance(
             rates=inst.rates, b_true=dict(inst.b_true),
             delta_true={**inst.delta_true, rc: inst.delta_true[r0]},
             h={**inst.h, rc: inst.h[r0]}, f={**inst.f, rc: inst.f[r0]},
-            tau=tau, zeta=zeta)
+            tau=tau, zeta={**inst.zeta, rc: inst.zeta[r0]})
         return inst2, r0, rc
     drivers = sorted(inst.b_true)
     if not drivers:
@@ -387,17 +382,15 @@ def _with_clone(inst: RandomInstance, side: str):
     d0 = drivers[0]
     dc = d0 + "_twin"
     tau = dict(inst.tau)
-    zeta = dict(inst.zeta)
     for (d, r), t in inst.tau.items():
         if d == d0:
             tau[(dc, r)] = t
-            zeta[(dc, r)] = inst.zeta[(d, r)]
     if not any(d == d0 for (d, _) in inst.tau):
         return None
     inst2 = RandomInstance(
         rates=inst.rates, b_true={**inst.b_true, dc: inst.b_true[d0]},
         delta_true=dict(inst.delta_true), h=dict(inst.h), f=dict(inst.f),
-        tau=tau, zeta=zeta)
+        tau=tau, zeta=dict(inst.zeta))
     return inst2, d0, dc
 
 

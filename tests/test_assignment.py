@@ -189,14 +189,14 @@ def test_removal_never_raises_objective():
 def random_problem(rng, n_d=5, n_r=5):
     drivers = [f"d{i}" for i in range(rng.integers(1, n_d + 1))]
     riders = [f"r{j}" for j in range(rng.integers(1, n_r + 1))]
+    zeta = {r: float(rng.uniform(0, 3)) for r in riders}
     edges = []
     for d in drivers:
         for r in riders:
             if rng.random() < 0.6:
                 edges.append(edge(d, r, float(rng.uniform(0.05, 2.0)),
                                   float(rng.uniform(0, 10)),
-                                  float(rng.uniform(0, 10)),
-                                  float(rng.uniform(0, 3))))
+                                  float(rng.uniform(0, 10)), zeta[r]))
     return MatchingProblem(edges=edges, drivers=drivers, riders=riders)
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from senseauction import cli
 from senseauction.cli import EXIT_IO, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 from senseauction.simengine import ScenarioConfig, default_world
 
@@ -135,6 +136,56 @@ def test_compare_empty_seed_list_is_usage_error(config_path, tmp_path):
     rc = main(["compare", "--config", str(config_path), "--seeds", ",",
                "--out", str(tmp_path / "out")])
     assert rc == EXIT_USAGE
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Replace the process pool with one that records its max_workers and
+    maps in this process, so no worker process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_compare_caps_the_pool_at_the_cell_count(config_path, tmp_path,
+                                                 pool_sizes):
+    outs = {}
+    for jobs in ("1", "500"):
+        outs[jobs] = tmp_path / f"out{jobs}"
+        rc = main(["compare", "--config", str(config_path), "--seeds", "0",
+                   "--overreport", "0,0.5", "--jobs", jobs,
+                   "--out", str(outs[jobs])])
+        assert rc == EXIT_OK
+    # 2 mechanisms, then 2 over-reporting fractions; --jobs 1 starts none.
+    assert pool_sizes == [2, 2]
+    for name in ("compare.csv", "overreport.csv"):
+        assert ((outs["500"] / name).read_bytes()
+                == (outs["1"] / name).read_bytes())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_compare_rejects_jobs_below_one(config_path, tmp_path, capsys,
+                                        pool_sizes, jobs):
+    rc = main(["compare", "--config", str(config_path), "--jobs", jobs,
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert pool_sizes == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_rejects_bad_arguments(tmp_path):

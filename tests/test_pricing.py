@@ -138,6 +138,7 @@ def test_share_prices_reject_floor_violation():
 def random_priced_problem(rng, objective):
     drivers = [f"d{i}" for i in range(rng.integers(1, 6))]
     riders = [f"r{j}" for j in range(rng.integers(1, 6))]
+    zeta = {r: float(rng.uniform(0, 3)) for r in riders}
     edges = []
     for d in drivers:
         for r in riders:
@@ -145,8 +146,7 @@ def random_priced_problem(rng, objective):
                 h = float(rng.uniform(1, 8))
                 edges.append(edge(d, r, float(rng.uniform(0.05, 2.0)),
                                   float(rng.uniform(0, 10)),
-                                  float(rng.uniform(0, 10)),
-                                  float(rng.uniform(0, 3)), h_r=h))
+                                  float(rng.uniform(0, 10)), zeta[r], h_r=h))
     return MatchingProblem(edges=edges, drivers=drivers, riders=riders,
                            objective=objective)
 

@@ -151,21 +151,31 @@ def test_removal_slices_hold_the_rebuilt_index(sim_markets):
                     assert np.array_equal(index.w[grid], rebuilt.w)
 
 
-def test_per_edge_zeta_takes_the_per_removal_solve(monkeypatch):
+def test_two_zeta_values_for_one_rider_are_rejected():
+    """zeta belongs to the requested trip: the sensing index rejects a rider
+    whose edges carry two values, so the DS solve, its removals and its
+    settle raise ContractError. The welfare program never reads zeta, so
+    VCG still settles the same market."""
     problem = integer_zeta_market(3, 10, 10)
+    problem.objective = asg.SENSING
+    solution = asg.solve(problem)
     edges = list(problem.edges)
     edges[0] = dataclasses.replace(edges[0], zeta=edges[0].zeta + 0.5)
-    problem = MatchingProblem(edges, problem.drivers, problem.riders,
-                              objective=asg.SENSING)
-    solution = asg.solve(problem)
+    mixed = MatchingProblem(edges, problem.drivers, problem.riders,
+                            objective=asg.SENSING)
+    assert sum(e.rider == edges[0].rider for e in edges) > 1
+    with pytest.raises(ContractError, match="two zeta values"):
+        asg.solve_sensing_max(mixed)
     participants = solution.matched_drivers + solution.matched_riders
-    want = {p: asg.marginal_objective(problem, p) for p in participants}
-    called = []
-    per_removal = asg.marginal_objective
-    monkeypatch.setattr(asg, "marginal_objective",
-                        lambda pr, p: called.append(p) or per_removal(pr, p))
-    assert asg.sensing_marginals(problem, solution, participants) == want
-    assert called == list(participants)
+    with pytest.raises(ContractError, match="two zeta values"):
+        asg.sensing_marginals(mixed, solution, participants)
+    with pytest.raises(ContractError, match="two zeta values"):
+        settle_epoch(DS, copy_of(mixed), RATES)
+    settled = settle_epoch(VCG, copy_of(mixed), RATES)
+    want = settle_epoch(VCG, copy_of(problem), RATES)
+    assert settled.priced
+    assert ([(m.driver, m.rider, m.rho_d, m.rho_r) for m in settled.priced]
+            == [(m.driver, m.rider, m.rho_d, m.rho_r) for m in want.priced])
 
 
 def test_sensing_marginals_reject_unknown_participant():
@@ -327,11 +337,10 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
     for seed in range(40):
         problem = tiny_market(seed)
         inst = asg.settle_index(problem)
-        zr = asg._per_rider_values(inst.edges, "zeta")
         big = 1000.0
         for lam in (0.0, 0.05, inst.floor_multiplier(), 1.0, 4.0):
             bound = asg._FloorBound(inst.s_raw, inst.has_edge, inst.r_index,
-                                    zr, lam)
+                                    inst.zr, lam)
             for _ in range(6):
                 status = {r: int(rng.integers(0, 3)) for r in inst.r_index}
                 forced = [r for r in status if status[r] == 1]
