@@ -16,8 +16,11 @@ Which path runs:
   optimum, and since the tie-break compares totals within 1e-12 it would
   return the same edges. Otherwise (an exact tie, common when co-located
   drivers have identical welfare and pick-up distance and only the driver id
-  decides) the exact two-pass branch-and-bound runs unchanged, because the
-  order of its result is observable in the event log.
+  decides) _welfare_tie_break runs on the same welfare matrix: the LSA pick
+  fixes the optimum, a tau-biased LSA pick is a second incumbent, and an
+  edge branch-and-bound over the welfare face (_welfare_face) applies the
+  tie-break. chosen is the winner's order, observable in the event log:
+  driver id for an LSA pick, (-sigma, tau, pair) for a branch-and-bound leaf.
 - One index per settle (settle_index): the welfare matrix or the sensing
   _Instance is built once and shared by the solve and all removals.
 - VCG removal marginals (welfare_marginals): each removal is one LSA on the
@@ -26,8 +29,8 @@ Which path runs:
 - Sensing: zeta is the gain of the requested trip, one value per rider. The
   sensing _Instance maps each rider to it once and raises ContractError when
   one rider's edges carry two values. Both passes search rider subsets
-  (_optimal_primary_riders, _pass2_riders), since the sensing total depends
-  only on which riders are served.
+  (_optimal_primary_riders, then _sensing_tie_break and _pass2_riders),
+  since the sensing total depends only on which riders are served.
 - DS removal marginals (sensing_marginals): each removal is a slice of the
   settle's _Instance, with rows and columns dropped as for VCG, so the
   rider-subset search sees exactly the arrays a rebuilt reduced index would
@@ -207,13 +210,13 @@ def solve_welfare_max(problem: MatchingProblem,
     """Exact welfare-maximizing matching; negative-welfare edges never help.
 
     One assignment solve settles a market whose optimum is certified unique
-    (see _certified_welfare_pick); ties go to the exact tie-break search.
-    `matrix` is the problem's settle_index, built here when not given.
+    (see _certified_welfare_pick); ties go to _welfare_tie_break on the same
+    matrix. `matrix` is the problem's settle_index, built here when not given.
     """
     m = _WelfareMatrix(problem.edges) if matrix is None else matrix
     chosen = _certified_welfare_pick(m.edges, m)
     if chosen is None:
-        chosen = _lex_search(m.edges, primary="sigma", floor=False)
+        chosen = _welfare_tie_break(m)
     value = _canonical_sum(chosen, "sigma")
     return MatchingSolution(chosen=chosen, objective_value=value,
                             welfare_total=value)
@@ -223,9 +226,14 @@ def solve_sensing_max(problem: MatchingProblem,
                       inst: _Instance | None = None) -> MatchingSolution:
     """Exact sensing-maximizing matching with a non-negative total-welfare floor.
 
+    Pass 1 (_optimal_primary_riders) finds the optimal sensing total and
+    pass 2 (_sensing_tie_break) the tie-break-optimal matching attaining it.
     `inst` is the problem's settle_index, built here when not given.
     """
-    chosen = _lex_search(problem.edges, primary="zeta", floor=True, inst=inst)
+    if inst is None:
+        inst = _Instance(problem.edges)
+    p_star, seed = _optimal_riders(inst)
+    chosen = _sensing_tie_break(inst, p_star, seed)
     return MatchingSolution(chosen=chosen,
                             objective_value=_canonical_sum(chosen, "zeta"),
                             welfare_total=_canonical_sum(chosen, "sigma"))
@@ -241,7 +249,7 @@ def settle_index(problem: MatchingProblem):
     if problem.objective == WELFARE:
         return _WelfareMatrix(problem.edges)
     if problem.objective == SENSING:
-        return _Instance(problem.edges, "zeta")
+        return _Instance(problem.edges)
     raise ContractError(f"unknown objective {problem.objective!r}")
 
 
@@ -259,23 +267,19 @@ def marginal_objective(problem: MatchingProblem, remove: str) -> float:
 
     A per-removal reference for tests: settles price removals with
     welfare_marginals and sensing_marginals, and tests compare those against
-    this. It rebuilds the reduced problem's index and runs pass 1 of the
-    exact search.
+    this. It rebuilds the reduced problem's index: the welfare value is one
+    LSA on the reduced welfare matrix, the sensing value pass 1 of the exact
+    search on a reduced _Instance, with no slicing and no warm start.
     """
     if remove not in problem.drivers and remove not in problem.riders:
         raise ContractError(f"participant {remove!r} not in problem")
     reduced = problem.without(remove)
     if reduced.objective == WELFARE:
-        edges = [e for e in reduced.edges if e.sigma >= 0.0]
-        primary, floor = "sigma", False
-    elif reduced.objective == SENSING:
-        edges, primary, floor = reduced.edges, "zeta", True
-    else:
-        raise ContractError(f"unknown objective {reduced.objective!r}")
-    if not edges:
-        return 0.0
-    _, chosen = _optimal_primary(_Instance(edges, primary), floor)
-    return _canonical_sum(chosen, primary)
+        m = _WelfareMatrix(reduced.edges)
+        return _canonical_sum(_lsa_pick(m.w, m.by_pair)[1], "sigma")
+    if reduced.objective == SENSING:
+        return _optimal_riders(_Instance(reduced.edges))[0]
+    raise ContractError(f"unknown objective {reduced.objective!r}")
 
 
 def _removals(index, problem: MatchingProblem, participants):
@@ -330,7 +334,7 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
     that index, searched from a warm start with an early exit (see the
     module docstring).
     """
-    index = _Instance(problem.edges, "zeta") if inst is None else inst
+    index = _Instance(problem.edges) if inst is None else inst
     riders = list(index.r_index)
     optimal_set = frozenset(solution.matched_riders)
     out = {}
@@ -350,8 +354,7 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
 class _WelfareMatrix:
     """max(sigma, 0) over edges with sigma >= 0, rows and columns in id order.
 
-    The same matrix _Instance builds for the welfare objective, without the
-    search's index structures. Edges with sigma < 0 are left out.
+    Edges with sigma < 0 are left out. by_pair holds each cell's edge.
     """
 
     def __init__(self, edges):
@@ -362,21 +365,34 @@ class _WelfareMatrix:
                         enumerate(sorted({e.rider for e in edges}))}
         self.w = np.zeros((len(self.d_index), len(self.r_index)))
         self.has_edge = np.zeros(self.w.shape, dtype=bool)
-        self.at = {}
+        self.by_pair = np.empty(self.w.shape, dtype=object)
         for e in edges:
             i, j = self.d_index[e.driver], self.r_index[e.rider]
             self.w[i, j] = max(e.sigma, 0.0)
             self.has_edge[i, j] = True
-            self.at[(i, j)] = e
+            self.by_pair[i, j] = e
 
     def pick(self, rows, cols) -> tuple[CandidateEdge, ...]:
         """Positive-weight edges of one LSA optimum on the given submatrix."""
-        if not (len(rows) and len(cols)):
-            return ()
-        sub = self.w[np.ix_(rows, cols)]
-        ri, ci = linear_sum_assignment(sub, maximize=True)
-        return tuple(self.at[(rows[i], cols[j])]
-                     for i, j in zip(ri, ci) if sub[i, j] > 0.0)
+        grid = np.ix_(rows, cols)
+        return _lsa_pick(self.w[grid], self.by_pair[grid])[1]
+
+
+def _lsa_pick(w: np.ndarray, by_pair: np.ndarray) -> tuple[float, tuple]:
+    """One LSA optimum of w: its value and its positive-weight edges, in row
+    order. by_pair holds the edge at each cell of w."""
+    ri, ci = linear_sum_assignment(w, maximize=True)
+    keep = w[ri, ci] > 0.0
+    return float(w[ri, ci].sum()), tuple(by_pair[ri[keep], ci[keep]])
+
+
+def _tau_biased_pick(w: np.ndarray, has_edge: np.ndarray,
+                     by_pair: np.ndarray) -> tuple:
+    """The LSA pick of w less 1e-7 * tau, steered toward the low-tau corner
+    of the welfare tie region."""
+    tau = np.zeros_like(w)
+    tau[has_edge] = [e.tau for e in by_pair[has_edge]]
+    return _lsa_pick(np.maximum(w - 1e-7 * tau, 0.0), by_pair)[1]
 
 
 def _certified_welfare_pick(edges, matrix: _WelfareMatrix | None = None
@@ -395,23 +411,129 @@ def _certified_welfare_pick(edges, matrix: _WelfareMatrix | None = None
         return ()
     m = _WelfareMatrix(edges) if matrix is None else matrix
     w = m.w
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    picked = [(i, j) for i, j in zip(rows, cols) if w[i, j] > 0.0]
+    value, chosen = _lsa_pick(w, m.by_pair)
+    cells = [(m.d_index[e.driver], m.r_index[e.rider]) for e in chosen]
     free_d = np.ones(w.shape[0], dtype=bool)
     free_r = np.ones(w.shape[1], dtype=bool)
-    for i, j in picked:
+    for i, j in cells:
         free_d[i] = free_r[j] = False
     if m.has_edge[np.ix_(free_d, free_r)].any():
         return None
-    value = float(w[rows, cols].sum())
-    for i, j in picked:
+    for i, j in cells:
         weight, w[i, j] = w[i, j], 0.0
-        ri, ci = linear_sum_assignment(w, maximize=True)
-        without = float(w[ri, ci].sum())
+        without = _lsa_pick(w, m.by_pair)[0]
         w[i, j] = weight
         if value - without <= _TOL:
             return None
-    return tuple(m.at[p] for p in picked)
+    return chosen
+
+
+def _welfare_tie_break(m: _WelfareMatrix) -> tuple[CandidateEdge, ...]:
+    """Tie-break-optimal maximum-welfare matching of the matrix's edges.
+
+    The LSA pick is the first incumbent and its total the optimum p*; the
+    tau-biased pick is the second. An edge branch-and-bound over the welfare
+    face, edges in (-sigma, tau, pair) order and bounded by one memoised LSA
+    per set of free vertices, takes a leaf only when _better ranks it above
+    the incumbent. chosen keeps the winner's order: driver id for a pick,
+    (-sigma, tau, pair) for a leaf.
+    """
+    best_chosen = _lsa_pick(m.w, m.by_pair)[1]
+    if not best_chosen:
+        return ()
+    p_star = _canonical_sum(best_chosen, "sigma")
+    best_key = _solution_key(best_chosen, "sigma")
+    biased = _tau_biased_pick(m.w, m.has_edge, m.by_pair)
+    if biased and sum(e.sigma for e in biased) >= p_star - _TOL:
+        key = _solution_key(biased, "sigma")
+        if _better(key, best_key):
+            best_key, best_chosen = key, biased
+    edges = sorted(m.edges, key=lambda e: (-e.sigma, e.tau, e.pair))
+    face = _welfare_face(m, edges)
+    edge_list, weights = (edges, m.w) if face is None else face
+    n_edges = len(edge_list)
+    free_d = np.ones(len(m.d_index), dtype=bool)
+    free_r = np.ones(len(m.r_index), dtype=bool)
+    stack: list[CandidateEdge] = []
+    memo: dict = {}
+
+    def bound():
+        # Max-weight matching value over the still-free vertices.
+        key = free_d.tobytes(), free_r.tobytes()
+        if key not in memo:
+            sub = weights[np.ix_(free_d, free_r)]
+            value = 0.0
+            if sub.size and sub.max() > 0.0:
+                ri, ci = linear_sum_assignment(sub, maximize=True)
+                value = float(sub[ri, ci].sum())
+            memo[key] = value
+        return memo[key]
+
+    def recurse(idx, cur_v, cur_t):
+        nonlocal best_key, best_chosen
+        while idx < n_edges:
+            e = edge_list[idx]
+            if free_d[m.d_index[e.driver]] and free_r[m.r_index[e.rider]]:
+                break
+            idx += 1
+        if idx == n_edges:
+            if cur_v < p_star - _TOL:
+                return
+            key = _solution_key(stack, "sigma")
+            if _better(key, best_key):
+                best_key, best_chosen = key, tuple(stack)
+            return
+        ub_v = cur_v + bound()
+        if ub_v < best_key[1] - _PRUNE_TOL:
+            return
+        if ub_v <= best_key[1] + _PRUNE_TOL and cur_t > best_key[2] + _PRUNE_TOL:
+            return
+        e = edge_list[idx]
+        i, j = m.d_index[e.driver], m.r_index[e.rider]
+        free_d[i] = free_r[j] = False
+        stack.append(e)
+        recurse(idx + 1, cur_v + e.sigma, cur_t + e.tau)
+        stack.pop()
+        free_d[i] = free_r[j] = True
+        recurse(idx + 1, cur_v, cur_t)
+
+    recurse(0, 0.0, 0.0)
+    return best_chosen
+
+
+def _welfare_face(m: _WelfareMatrix, edges, tol: float = 1e-6):
+    """Edges that can appear in some maximum-welfare matching.
+
+    Solves the assignment LP relaxation and keeps edges with (near-)zero
+    reduced cost; complementary slackness puts every optimal matching inside
+    that subgraph, so tie-breaking never needs the remaining edges. Returns
+    the kept edges, in the order of `edges` (those of m), and the welfare
+    matrix masked to them; None when the LP fails or keeps nothing.
+    """
+    cand = [e for e in edges if e.sigma > 0.0]
+    if not cand:
+        return None
+    n_d, n_r = m.w.shape
+    n_e = len(cand)
+    rows = np.array([m.d_index[e.driver] for e in cand])
+    cols = np.array([m.r_index[e.rider] for e in cand])
+    w = m.w[rows, cols]
+    data = np.ones(2 * n_e)
+    a_rows = np.concatenate([rows, n_d + cols])
+    a_cols = np.concatenate([np.arange(n_e), np.arange(n_e)])
+    a_ub = coo_matrix((data, (a_rows, a_cols)), shape=(n_d + n_r, n_e))
+    res = linprog(-w, A_ub=a_ub, b_ub=np.ones(n_d + n_r),
+                  bounds=(0.0, 1.0), method="highs")
+    if not res.success:
+        return None
+    duals = -np.asarray(res.ineqlin.marginals)
+    reduced = duals[rows] + duals[n_d + cols] - w
+    keep = reduced <= tol
+    if not keep.any():
+        return None
+    mask = np.zeros_like(m.w)
+    mask[rows[keep], cols[keep]] = w[keep]
+    return [e for e, k in zip(cand, keep) if k], mask
 
 
 def _canonical_sum(chosen, attr: str) -> float:
@@ -444,70 +566,56 @@ def _better(a, b) -> bool:
 
 
 class _Instance:
-    """Index structures shared by all nodes of one branch-and-bound search.
+    """The sensing program's index, shared by its solve and all removals.
 
-    With the zeta primary, `zr` maps each rider to its zeta; a rider whose
+    z_raw and s_raw hold each edge's zeta and sigma (0 off the edges),
+    by_pair its edge; `zr` maps each rider to its zeta, and a rider whose
     edges carry two values raises ContractError.
     """
 
-    def __init__(self, edges, primary: str):
-        self.edges = sorted(
-            edges, key=lambda e: (-getattr(e, primary), e.tau, e.pair))
-        self.primary = primary
+    def __init__(self, edges):
         self.d_index = {d: i for i, d in
-                        enumerate(sorted({e.driver for e in self.edges}))}
+                        enumerate(sorted({e.driver for e in edges}))}
         self.r_index = {r: i for i, r in
-                        enumerate(sorted({e.rider for e in self.edges}))}
+                        enumerate(sorted({e.rider for e in edges}))}
         n_d, n_r = len(self.d_index), len(self.r_index)
-        self.pw = np.zeros((n_d, n_r))
-        self.sw = np.zeros((n_d, n_r))
-        self.p_raw = np.zeros((n_d, n_r))
+        self.z_raw = np.zeros((n_d, n_r))
         self.s_raw = np.zeros((n_d, n_r))
         self.has_edge = np.zeros((n_d, n_r), dtype=bool)
         # Pair lookup as an array, so a removal can slice it like the rest.
         self.by_pair = np.empty((n_d, n_r), dtype=object)
         self.zr: dict[str, float] = {}
-        for e in self.edges:
-            if (primary == "zeta"
-                    and self.zr.setdefault(e.rider, e.zeta) != e.zeta):
+        for e in edges:
+            if self.zr.setdefault(e.rider, e.zeta) != e.zeta:
                 raise ContractError(f"rider {e.rider!r} has two zeta values")
             i, j = self.d_index[e.driver], self.r_index[e.rider]
-            self.pw[i, j] = max(getattr(e, primary), 0.0)
-            self.sw[i, j] = max(e.sigma, 0.0)
-            self.p_raw[i, j] = getattr(e, primary)
+            self.z_raw[i, j] = e.zeta
             self.s_raw[i, j] = e.sigma
             self.has_edge[i, j] = True
             self.by_pair[i, j] = e
-        if primary == "sigma":
-            # Sharing one array lets the bound memo serve both objectives.
-            self.pw = self.sw
-            self.p_raw = self.s_raw
-        self._memo: dict = {}
         self._floor_lam: float | None = None
 
     def floor_multiplier(self) -> float:
         """The multiplier of the sensing program's welfare floor.
 
         The lam >= 0 minimising g(lam) = max over matchings of
-        sum(primary + lam * sigma), the Lagrangian bound on the primary total
+        sum(zeta + lam * sigma), the Lagrangian bound on the sensing total
         of any matching that meets the floor. Computed on first use and kept,
         so the solve, pass 2 and every removal of a settle share one lam;
         removals search slices of this index, and any lam >= 0 bounds them.
 
         g is convex and piecewise linear, and each LSA returns one of its
-        lines: a matching's primary and welfare totals. Breakpoint (Newton)
+        lines: a matching's sensing and welfare totals. Breakpoint (Newton)
         iteration intersects the lowest known line of negative slope with
         the lowest of non-negative slope (at first the empty matching's) and
         solves there, until the solve finds no higher line.
         """
         if self._floor_lam is None:
-            full_d = np.ones(len(self.d_index), dtype=bool)
-            full_r = np.ones(len(self.r_index), dtype=bool)
 
             def line(lam):
-                w = self.lagrange_weights(self.p_raw, self.s_raw, lam)
-                _, pick = self.bound_pairs(w, full_d, full_r)
-                return (_canonical_sum(pick, self.primary),
+                w = self.lagrange_weights(self.z_raw, self.s_raw, lam)
+                _, pick = self.bound_pairs(w)
+                return (_canonical_sum(pick, "zeta"),
                         _canonical_sum(pick, "sigma"))
 
             a_lo, b_lo = line(0.0)
@@ -534,56 +642,9 @@ class _Instance:
         w[~self.has_edge] = 0.0
         return w
 
-    def bound(self, weights: np.ndarray, free_d: np.ndarray,
-              free_r: np.ndarray) -> float:
-        """Max-weight optional matching value over the still-free vertices."""
-        key = (id(weights), free_d.tobytes(), free_r.tobytes())
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        rows = np.flatnonzero(free_d)
-        cols = np.flatnonzero(free_r)
-        sub = weights[rows[:, None], cols] if rows.size and cols.size else None
-        if sub is None or sub.max() <= 0.0:
-            value = 0.0
-        else:
-            ri, ci = linear_sum_assignment(sub, maximize=True)
-            value = float(sub[ri, ci].sum())
-        self._memo[key] = value
-        return value
-
-    def bound_pairs(self, weights: np.ndarray, free_d: np.ndarray,
-                    free_r: np.ndarray) -> tuple[float, tuple]:
-        """Like bound(), but also returns one optimal matching's edges."""
-        rows = np.flatnonzero(free_d)
-        cols = np.flatnonzero(free_r)
-        sub = weights[rows[:, None], cols] if rows.size and cols.size else None
-        if sub is None or sub.max() <= 0.0:
-            return 0.0, ()
-        ri, ci = linear_sum_assignment(sub, maximize=True)
-        value = float(sub[ri, ci].sum())
-        picked = tuple(self.by_pair[(rows[i], cols[j])]
-                       for i, j in zip(ri, ci) if sub[i, j] > 0.0)
-        return value, picked
-
-
-def _lex_search(edges, primary: str, floor: bool,
-                inst: _Instance | None = None) -> tuple[CandidateEdge, ...]:
-    """Exact two-pass branch-and-bound.
-
-    Pass 1 finds the optimal primary value (welfare floor respected) with
-    aggressive pruning; pass 2 optimizes the tie-break key (total welfare,
-    lower total pick-up distance, lexicographic edge list) among solutions
-    attaining it. Pass 1 with the floor and pass 2 on zeta branch on rider
-    subsets; the others branch on edges. `inst` is the _Instance of `edges`,
-    built here when not given.
-    """
-    if not edges:
-        return ()
-    if inst is None:
-        inst = _Instance(edges, primary)
-    p_star, seed = _optimal_primary(inst, floor)
-    return _best_at_optimum(inst, floor, p_star, seed)
+    def bound_pairs(self, weights: np.ndarray) -> tuple[float, tuple]:
+        """Value and edges of one max-weight matching on weights."""
+        return _lsa_pick(weights, self.by_pair)
 
 
 @dataclass(frozen=True)
@@ -803,8 +864,38 @@ def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
     return _canonical_sum(best_chosen, "zeta"), best_chosen
 
 
-def _best_for_set(inst: _Instance, cols: list, floor: bool,
-                  best_key, best_chosen):
+def _optimal_riders(inst: _Instance):
+    """Pass 1 of the sensing program on a whole _Instance."""
+    return _optimal_primary_riders(inst.s_raw, inst.has_edge, inst.by_pair,
+                                   inst.r_index, inst.zr,
+                                   floor_lam=inst.floor_multiplier)
+
+
+def _sensing_tie_break(inst: _Instance, p_star: float, seed):
+    """Pass 2 of the sensing program: the tie-break-optimal matching among
+    those with sensing total p_star that meet the floor.
+
+    Pass 1's `seed` is the first incumbent. The plain and the tau-biased
+    welfare LSA picks join it when they attain p_star and meet the floor:
+    each is the welfare upper bound made feasible, so it prices every
+    lower-welfare subtree out of the search at once. _pass2_riders then
+    searches the rider sets.
+    """
+    if p_star <= _PRUNE_TOL and not seed:
+        return ()
+    best_key, best_chosen = _solution_key(seed, "zeta"), seed
+    sw = np.maximum(inst.s_raw, 0.0)
+    for pick in (inst.bound_pairs(sw)[1],
+                 _tau_biased_pick(sw, inst.has_edge, inst.by_pair)):
+        if (pick and sum(e.zeta for e in pick) >= p_star - _TOL
+                and sum(e.sigma for e in pick) >= -_TOL):
+            key = _solution_key(pick, "zeta")
+            if _better(key, best_key):
+                best_key, best_chosen = key, pick
+    return _pass2_riders(inst, p_star, best_key, best_chosen)
+
+
+def _best_for_set(inst: _Instance, cols: list, best_key, best_chosen):
     """Tie-break-optimal matching covering exactly the given rider columns.
 
     With the matched rider set fixed, the required-assignment relaxation is
@@ -838,14 +929,14 @@ def _best_for_set(inst: _Instance, cols: list, floor: bool,
         if rest is None:
             return
         ub_v = cur_v + rest
-        if floor and ub_v < -_TOL:
+        if ub_v < -_TOL:
             return
         if ub_v < best_key[1] - _PRUNE_TOL:
             return
         if ub_v <= best_key[1] + _PRUNE_TOL and cur_t > best_key[2] + _PRUNE_TOL:
             return
         if k == len(cols):
-            key = _solution_key(tuple(chosen), inst.primary)
+            key = _solution_key(tuple(chosen), "zeta")
             if _better(key, best_key):
                 best_key, best_chosen = key, tuple(chosen)
             return
@@ -864,8 +955,7 @@ def _best_for_set(inst: _Instance, cols: list, floor: bool,
     return best_key, best_chosen
 
 
-def _pass2_riders(inst: _Instance, p_star: float, floor: bool,
-                  best_key, best_chosen):
+def _pass2_riders(inst: _Instance, p_star: float, best_key, best_chosen):
     """Pass 2 of the sensing program.
 
     The sensing total depends only on which riders are matched, so the
@@ -924,7 +1014,7 @@ def _pass2_riders(inst: _Instance, p_star: float, floor: bool,
         nodes += 1
         if nodes > _LAGRANGE_AFTER and lag is None:
             lag = _FloorBound(inst.s_raw, inst.has_edge, inst.r_index, zr,
-                              inst.floor_multiplier() if floor else 0.0)
+                              inst.floor_multiplier())
         if lag is not None:
             if held is None:
                 held = lag(_forced_cols(status, r_idx, k), r_idx[k:])
@@ -937,13 +1027,13 @@ def _pass2_riders(inst: _Instance, p_star: float, floor: bool,
         # passes both welfare tests for sure.
         if held is None or held.sigma < max(best_key[1], 0.0) + _FLOOR_SLACK:
             sig = relaxed_sigma(k)
-            if sig is None or (floor and sig < -_TOL):
+            if sig is None or sig < -_TOL:
                 return
             if sig < best_key[1] - _PRUNE_TOL:
                 return
         if k == len(riders):
             cols = [r_idx[m] for m in range(len(riders)) if status[m] == 1]
-            best_key, best_chosen = _best_for_set(inst, sorted(cols), floor,
+            best_key, best_chosen = _best_for_set(inst, sorted(cols),
                                                   best_key, best_chosen)
             return
         served = held is not None and r_idx[k] in held.served
@@ -957,181 +1047,6 @@ def _pass2_riders(inst: _Instance, p_star: float, floor: bool,
 
     recurse(0, 0, 0.0, None)
     return best_chosen
-
-
-def _optimal_primary(inst: _Instance, floor: bool):
-    """Pass 1: maximum primary objective and one solution attaining it.
-
-    The welfare floor belongs to the sensing program, which the rider-subset
-    search solves. Without it (welfare ties, the welfare marginal_objective,
-    the floor-free sensing check) an edge branch-and-bound runs, seeded with
-    the assignment optimum.
-    """
-    if floor:
-        return _optimal_primary_riders(inst.s_raw, inst.has_edge,
-                                       inst.by_pair, inst.r_index, inst.zr,
-                                       floor_lam=inst.floor_multiplier)
-    n_d, n_r = len(inst.d_index), len(inst.r_index)
-    free_d = np.ones(n_d, dtype=bool)
-    free_r = np.ones(n_r, dtype=bool)
-    best_p = 0.0                       # empty matching is always feasible
-    best_chosen: tuple[CandidateEdge, ...] = ()
-    seed = _lsa_solution(inst)
-    if seed is not None:
-        seed_p = sum(getattr(e, inst.primary) for e in seed)
-        if seed_p > best_p:
-            best_p, best_chosen = seed_p, tuple(seed)
-
-    edge_list = inst.edges
-    n_edges = len(edge_list)
-    stack: list[CandidateEdge] = []
-
-    def recurse(idx, cur_p, free_d, free_r):
-        nonlocal best_p, best_chosen
-        while idx < n_edges:
-            e = edge_list[idx]
-            if free_d[inst.d_index[e.driver]] and free_r[inst.r_index[e.rider]]:
-                break
-            idx += 1
-        if idx == n_edges:
-            if cur_p > best_p:
-                best_p, best_chosen = cur_p, tuple(stack)
-            return
-        if cur_p + inst.bound(inst.pw, free_d, free_r) <= best_p + _PRUNE_TOL:
-            return
-        e = edge_list[idx]
-        i, j = inst.d_index[e.driver], inst.r_index[e.rider]
-        free_d[i] = free_r[j] = False
-        stack.append(e)
-        recurse(idx + 1, cur_p + getattr(e, inst.primary), free_d, free_r)
-        stack.pop()
-        free_d[i] = free_r[j] = True
-        recurse(idx + 1, cur_p, free_d, free_r)
-
-    recurse(0, 0.0, free_d, free_r)
-    # Report the optimum in canonical summation order so pass 2 and incumbent
-    # candidates compare against it without summation-order noise.
-    return _canonical_sum(best_chosen, inst.primary), best_chosen
-
-
-def _welfare_face(inst: _Instance, tol: float = 1e-6):
-    """Edges that can appear in some maximum-welfare matching.
-
-    Solves the assignment LP relaxation and keeps edges with (near-)zero
-    reduced cost; complementary slackness puts every optimal matching inside
-    that subgraph, so tie-breaking never needs the remaining edges.
-    """
-    cand = [e for e in inst.edges
-            if inst.sw[inst.d_index[e.driver], inst.r_index[e.rider]] > 0.0]
-    if not cand:
-        return None
-    n_d, n_r = len(inst.d_index), len(inst.r_index)
-    n_e = len(cand)
-    rows = np.array([inst.d_index[e.driver] for e in cand])
-    cols = np.array([inst.r_index[e.rider] for e in cand])
-    w = np.array([inst.sw[i, j] for i, j in zip(rows, cols)])
-    data = np.ones(2 * n_e)
-    a_rows = np.concatenate([rows, n_d + cols])
-    a_cols = np.concatenate([np.arange(n_e), np.arange(n_e)])
-    a_ub = coo_matrix((data, (a_rows, a_cols)), shape=(n_d + n_r, n_e))
-    res = linprog(-w, A_ub=a_ub, b_ub=np.ones(n_d + n_r),
-                  bounds=(0.0, 1.0), method="highs")
-    if not res.success:
-        return None
-    duals = -np.asarray(res.ineqlin.marginals)
-    reduced = duals[rows] + duals[n_d + cols] - w
-    keep = reduced <= tol
-    if not keep.any():
-        return None
-    edges = [e for e, k in zip(cand, keep) if k]
-    mask = np.zeros_like(inst.sw)
-    for e in edges:
-        i, j = inst.d_index[e.driver], inst.r_index[e.rider]
-        mask[i, j] = inst.sw[i, j]
-    return edges, mask
-
-
-def _best_at_optimum(inst: _Instance, floor: bool, p_star: float,
-                     seed: tuple[CandidateEdge, ...]):
-    """Pass 2: tie-break-optimal solution among primary-optimal matchings.
-
-    The sensing program takes the rider-subset search (_pass2_riders); the
-    welfare program, which has no floor, branches on edges.
-    """
-    n_d, n_r = len(inst.d_index), len(inst.r_index)
-    free_d = np.ones(n_d, dtype=bool)
-    free_r = np.ones(n_r, dtype=bool)
-    best_key = _solution_key(seed, inst.primary)
-    best_chosen = seed
-    if p_star <= _PRUNE_TOL and not seed:
-        return ()
-    # Root incumbent: the unconstrained welfare-optimal matching, when it also
-    # attains the primary optimum, is the welfare upper bound made feasible —
-    # it prices every lower-welfare subtree out of the search immediately.
-    # A small travel-time penalty steers the assignment toward the low-tau
-    # corner of the welfare-tie region; the incumbent is only kept when it
-    # still attains the primary optimum, so the bias cannot hurt exactness.
-    tau_m = np.zeros_like(inst.sw)
-    for e in inst.edges:
-        tau_m[inst.d_index[e.driver], inst.r_index[e.rider]] = e.tau
-    for weights in (inst.sw, np.maximum(inst.sw - 1e-7 * tau_m, 0.0)):
-        _, sw_pick = inst.bound_pairs(weights, free_d, free_r)
-        if sw_pick:
-            pick_p = sum(getattr(e, inst.primary) for e in sw_pick)
-            pick_v = sum(e.sigma for e in sw_pick)
-            if pick_p >= p_star - _TOL and (not floor or pick_v >= -_TOL):
-                key = _solution_key(sw_pick, inst.primary)
-                if _better(key, best_key):
-                    best_key, best_chosen = key, sw_pick
-    if inst.primary == "zeta":
-        return _pass2_riders(inst, p_star, floor, best_key, best_chosen)
-    # Welfare ties: branch on the edges of the welfare face. The primary is
-    # sigma, so the welfare bound also bounds the primary.
-    edge_list, sw_b = inst.edges, inst.sw
-    face = _welfare_face(inst)
-    if face is not None:
-        edge_list, sw_b = face
-    n_edges = len(edge_list)
-    stack: list[CandidateEdge] = []
-
-    def recurse(idx, cur_v, cur_t, free_d, free_r):
-        nonlocal best_key, best_chosen
-        while idx < n_edges:
-            e = edge_list[idx]
-            if free_d[inst.d_index[e.driver]] and free_r[inst.r_index[e.rider]]:
-                break
-            idx += 1
-        if idx == n_edges:
-            if cur_v < p_star - _TOL:
-                return
-            key = _solution_key(stack, inst.primary)
-            if _better(key, best_key):
-                best_key, best_chosen = key, tuple(stack)
-            return
-        ub_v = cur_v + inst.bound(sw_b, free_d, free_r)
-        if ub_v < best_key[1] - _PRUNE_TOL:
-            return
-        if ub_v <= best_key[1] + _PRUNE_TOL and cur_t > best_key[2] + _PRUNE_TOL:
-            return
-        e = edge_list[idx]
-        i, j = inst.d_index[e.driver], inst.r_index[e.rider]
-        free_d[i] = free_r[j] = False
-        stack.append(e)
-        recurse(idx + 1, cur_v + e.sigma, cur_t + e.tau, free_d, free_r)
-        stack.pop()
-        free_d[i] = free_r[j] = True
-        recurse(idx + 1, cur_v, cur_t, free_d, free_r)
-
-    recurse(0, 0.0, 0.0, free_d, free_r)
-    return best_chosen
-
-
-def _lsa_solution(inst: _Instance):
-    if inst.pw.size == 0:
-        return None
-    rows, cols = linear_sum_assignment(inst.pw, maximize=True)
-    return [inst.by_pair[i, j] for i, j in zip(rows, cols)
-            if inst.has_edge[i, j] and inst.pw[i, j] > 0.0]
 
 
 def problem_to_json(problem: MatchingProblem) -> str:

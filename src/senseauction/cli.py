@@ -207,6 +207,8 @@ def _map_cells(cells, jobs: int):
 def cmd_check(args) -> int:
     if args.trials <= 0:
         raise ConfigurationError("trials must be positive")
+    if min(args.max_drivers, args.max_riders) < 1:
+        raise ConfigurationError("max-drivers and max-riders must be at least 1")
     if max(args.max_drivers, args.max_riders) > 8:
         raise ConfigurationError("exactness oracle is limited to 8x8 instances")
     out = Path(args.out)

@@ -10,7 +10,7 @@ platform revenue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .assignment import (SENSING, WELFARE, MatchingProblem, MatchingSolution,
                          sensing_marginals, settle_index, solve,
@@ -146,10 +146,13 @@ def settle_epoch(mechanism: str, problem: MatchingProblem, rates: Rates,
     """Solve, compute removal marginals, and price one epoch's market.
 
     The solve and the removal marginals share one settle_index, built here.
+    They see a copy of the problem under the mechanism's objective; the
+    caller's problem is left as it was.
     """
     if mechanism not in (VCG, DS):
         raise ContractError(f"unknown mechanism {mechanism!r}")
-    problem.objective = WELFARE if mechanism == VCG else SENSING
+    objective = WELFARE if mechanism == VCG else SENSING
+    problem = replace(problem, objective=objective)
     index = settle_index(problem)
     solution = solve(problem, index)
     marginals = compute_marginals(problem, solution, index)

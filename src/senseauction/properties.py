@@ -142,8 +142,10 @@ def check_exactness(inst: RandomInstance) -> None:
 
 
 def _solve_sensing_no_floor(problem: MatchingProblem) -> float:
-    from .assignment import _canonical_sum, _lex_search
-    chosen = _lex_search(problem.edges, primary="zeta", floor=False)
+    # Without the floor the sensing program is one LSA on max(zeta, 0).
+    from .assignment import _canonical_sum, _Instance
+    inst = _Instance(problem.edges)
+    _, chosen = inst.bound_pairs(np.maximum(inst.z_raw, 0.0))
     return _canonical_sum(chosen, "zeta")
 
 

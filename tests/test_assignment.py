@@ -174,6 +174,8 @@ def test_marginal_objective_hand_values():
 
 
 def test_removal_never_raises_objective():
+    """Each removal's optimum is at most the full one, and equals brute force
+    on the reduced problem: a reference that uses no assignment solver."""
     rng = np.random.default_rng(7)
     for _ in range(30):
         p = random_problem(rng)
@@ -181,7 +183,10 @@ def test_removal_never_raises_objective():
             p.objective = objective
             base = solve(p).objective_value
             for who in p.drivers + p.riders:
-                assert marginal_objective(p, who) <= base + 1e-9
+                got = marginal_objective(p, who)
+                assert got <= base + 1e-9
+                want, _, _ = oracle.brute_force_solve(p.without(who))
+                assert got == pytest.approx(want, abs=1e-9, rel=0)
 
 
 # --- exactness against the brute-force oracle --------------------------------

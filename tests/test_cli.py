@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from senseauction import cli
@@ -195,6 +196,15 @@ def test_check_rejects_bad_arguments(tmp_path):
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value", [("--max-drivers", "0"),
+                                         ("--max-riders", "-2")])
+def test_check_rejects_sizes_below_one(tmp_path, capsys, flag, value):
+    rc = main(["check", "--trials", "5", flag, value,
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_small_suite_passes(tmp_path, capsys):
     rc = main(["check", "--trials", "15", "--max-drivers", "4",
                "--max-riders", "4", "--seed", "0",
@@ -207,13 +217,14 @@ def test_check_small_suite_passes(tmp_path, capsys):
 def test_check_reports_violation_with_replay(tmp_path, monkeypatch):
     # Negative control: break the sensing solver's welfare floor and make
     # sure the suite catches it, exits 1, and writes a replay document.
+    # Without the floor the sensing program is one LSA on max(zeta, 0).
     from senseauction import properties
     from senseauction.assignment import (MatchingSolution, _canonical_sum,
-                                         _lex_search)
+                                         _Instance)
 
     def floorless(problem):
-        chosen = tuple(_lex_search(problem.edges, primary="zeta",
-                                   floor=False))
+        inst = _Instance(problem.edges)
+        _, chosen = inst.bound_pairs(np.maximum(inst.z_raw, 0.0))
         return MatchingSolution(
             chosen=chosen,
             objective_value=_canonical_sum(chosen, "zeta"),

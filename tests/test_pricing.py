@@ -172,6 +172,16 @@ def test_settle_epoch_consistency_both_mechanisms():
             sum(m.zeta for m in s.priced), abs=1e-9)
 
 
+def test_settle_epoch_leaves_the_problem_objective_alone():
+    rng = np.random.default_rng(37)
+    for objective in ("welfare", "sensing"):
+        p = random_priced_problem(rng, objective)
+        for mech in (VCG, DS):
+            settled = settle_epoch(mech, p, RATES)
+            assert settled.mechanism == mech
+            assert p.objective == objective
+
+
 def test_settle_epoch_rejects_unknown_mechanism():
     p = MatchingProblem(edges=[], drivers=[], riders=[])
     with pytest.raises(ContractError):

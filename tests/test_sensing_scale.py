@@ -189,6 +189,7 @@ def test_sensing_marginals_reject_unknown_participant():
 def test_ds_settle_prices_equal_per_removal_prices(sim_markets):
     for problem in [copy_of(p) for p in sim_markets + SEEDED]:
         settled = settle_epoch(DS, problem, RATES, floor_enabled=True)
+        problem.objective = asg.SENSING
         solution = asg.solve(problem)
         marginals = {p: asg.marginal_objective(problem, p)
                      for p in solution.matched_drivers
@@ -387,13 +388,11 @@ def test_floor_multiplier_minimises_the_root_bound():
     and otherwise no lam on a grid gives a lower root bound."""
     feasible_at_zero = 0
     for problem in FLOOR_BINDING[:6] + SEEDED[:2]:
-        inst = asg._Instance(problem.edges, "zeta")
-        full_d = np.ones(len(inst.d_index), dtype=bool)
-        full_r = np.ones(len(inst.r_index), dtype=bool)
+        inst = asg._Instance(problem.edges)
 
         def g(lam):
-            w = inst.lagrange_weights(inst.p_raw, inst.s_raw, lam)
-            return inst.bound_pairs(w, full_d, full_r)
+            w = inst.lagrange_weights(inst.z_raw, inst.s_raw, lam)
+            return inst.bound_pairs(w)
 
         lam = inst.floor_multiplier()
         if sum(e.sigma for e in g(0.0)[1]) >= 0.0:

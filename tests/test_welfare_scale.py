@@ -1,9 +1,11 @@
 """Welfare program at simulator sizes: the certified assignment solve and the
 batched VCG removal marginals against the exact search they replace.
 
-Brute force stops at 8x8, so these checks compare against the exact
-branch-and-bound instead: on seeded markets from 10x10 up to the largest
-market of a default-scale run (59x31), with and without co-located drivers.
+Brute force stops at 8x8, so most checks compare against the exact tie-break
+search and per-removal solves instead: on seeded markets from 10x10 up to the
+largest market of a default-scale run (59x31), with and without co-located
+drivers. Co-located markets of at most 8x8 are also checked against brute
+force.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from senseauction import assignment as asg
-from senseauction import pricing
+from senseauction import oracle, pricing
 from senseauction.assignment import CandidateEdge, MatchingProblem
 from senseauction.errors import ContractError
 from senseauction.market import Rates
@@ -52,17 +54,25 @@ def random_market(seed, n_d, n_r, colocated):
                            tuple(f"r{j}" for j in range(n_r)))
 
 
+# Co-located markets small enough for brute force; half of them tie, and on
+# a few the LSA picks miss the tie-break's pair list, which only the search
+# finds.
+SMALL = [random_market(seed, n_d, n_r, colocated=True)
+         for n_d, n_r in ((6, 6), (8, 5), (7, 7)) for seed in range(32)]
+
+
 @pytest.fixture(scope="module")
 def markets():
-    """Random markets up to 30x16 plus every vcg market of one default run.
+    """SMALL, random markets up to 30x16 and every vcg market of one default
+    run.
 
     The run (fleet 60, scenario 3, seed 1) settles 72 markets of up to 59x31
     with 706 edges; its drivers park on shared cell centroids, so some of
     its markets are exact ties.
     """
-    out = [random_market(seed, n_d, n_r, colocated)
-           for n_d, n_r in ((10, 10), (20, 12), (30, 16))
-           for colocated in (False, True) for seed in range(2)]
+    out = SMALL + [random_market(seed, n_d, n_r, colocated)
+                   for n_d, n_r in ((10, 10), (20, 12), (30, 16))
+                   for colocated in (False, True) for seed in range(2)]
     seen = []
     settle = pricing.settle_epoch
 
@@ -91,18 +101,72 @@ def lsa_welfare(problem):
     return float(w[rows, cols].sum())
 
 
+def is_tie(problem):
+    edges = [e for e in problem.edges if e.sigma >= 0.0]
+    return asg._certified_welfare_pick(edges) is None
+
+
 def test_welfare_max_equals_exact_search_at_scale(markets):
+    """The certified pick is what the tie-break search returns, edges and
+    order, and the solve's value is the LSA optimum."""
     paths = {"certified": 0, "tie": 0}
     for problem in markets:
-        edges = [e for e in problem.edges if e.sigma >= 0.0]
-        certified = asg._certified_welfare_pick(edges)
-        paths["tie" if certified is None else "certified"] += 1
+        paths["tie" if is_tie(problem) else "certified"] += 1
         got = asg.solve_welfare_max(problem)
-        want = asg._lex_search(edges, "sigma", False)
+        want = asg._welfare_tie_break(asg._WelfareMatrix(problem.edges))
         assert got.chosen == want            # same edges, same order
         assert got.objective_value == pytest.approx(lsa_welfare(problem),
                                                     abs=1e-9, rel=0)
     assert paths["certified"] > 0 and paths["tie"] > 0, paths
+
+
+def lsa_picks(problem):
+    """Edge sets of the plain and the tau-biased LSA pick on the welfare
+    matrix: max(sigma, 0) over the sigma >= 0 edges, ids in sorted order."""
+    edges = [e for e in problem.edges if e.sigma >= 0.0]
+    drivers = sorted({e.driver for e in edges})
+    riders = sorted({e.rider for e in edges})
+    w = np.zeros((len(drivers), len(riders)))
+    tau = np.zeros_like(w)
+    at = {}
+    for e in edges:
+        i, j = drivers.index(e.driver), riders.index(e.rider)
+        w[i, j], tau[i, j], at[i, j] = max(e.sigma, 0.0), e.tau, e
+    picks = []
+    for weights in (w, np.maximum(w - 1e-7 * tau, 0.0)):
+        rows, cols = linear_sum_assignment(weights, maximize=True)
+        picks.append({at[i, j].pair for i, j in zip(rows, cols)
+                      if weights[i, j] > 0.0})
+    return picks
+
+
+def test_tie_order_rule(markets):
+    """On a tie, chosen is in driver id order when its edges are the plain
+    or the tau-biased LSA pick, and otherwise in (-sigma, tau, pair) order,
+    the edge order of the tie-break search. The event log writes it."""
+    orders = {"pick": 0, "search": 0}
+    for problem in filter(is_tie, markets):
+        chosen = asg.solve_welfare_max(problem).chosen
+        if {e.pair for e in chosen} in lsa_picks(problem):
+            orders["pick"] += 1
+            assert list(chosen) == sorted(chosen, key=lambda e: e.driver)
+        else:
+            orders["search"] += 1
+            assert list(chosen) == sorted(
+                chosen, key=lambda e: (-e.sigma, e.tau, e.pair))
+    assert orders["pick"] > 0 and orders["search"] > 0, orders
+
+
+def test_small_colocated_markets_match_brute_force():
+    ties = 0
+    for problem in SMALL:
+        ties += is_tie(problem)
+        _, _, pairs = oracle.brute_force_solve(problem, "welfare")
+        got = asg.solve_welfare_max(problem).chosen
+        tie = asg._welfare_tie_break(asg._WelfareMatrix(problem.edges))
+        assert (sorted(e.pair for e in got) == sorted(e.pair for e in tie)
+                == sorted(pairs))
+    assert ties > 0
 
 
 def test_batched_vcg_marginals_equal_per_removal_solves(markets):
