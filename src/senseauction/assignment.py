@@ -16,21 +16,24 @@ Which path runs:
   optimum, and since the tie-break compares totals within 1e-12 it would
   return the same edges. Otherwise (an exact tie, common when co-located
   drivers have identical welfare and pick-up distance and only the driver id
-  decides) _welfare_tie_break runs on the same welfare matrix: the LSA pick
-  fixes the optimum, a tau-biased LSA pick is a second incumbent, and an
-  edge branch-and-bound over the welfare face (_welfare_face) applies the
-  tie-break. chosen is the winner's order, observable in the event log:
-  driver id for an LSA pick, (-sigma, tau, pair) for a branch-and-bound leaf.
-- One index per settle (settle_index): the welfare matrix or the sensing
-  _Instance is built once and shared by the solve and all removals.
+  decides) _welfare_tie_break starts from that LSA pick: it fixes the
+  optimum and is the only incumbent, and an edge branch-and-bound over the
+  welfare face (_welfare_face) applies the tie-break. chosen is the winner's
+  order, observable in the event log: driver id for the pick, (-sigma, tau,
+  pair) for a branch-and-bound leaf.
+- One index per settle (settle_index): an _Instance over the sigma >= 0
+  edges (welfare) or all edges (sensing), shared by the solve and all
+  removals.
 - VCG removal marginals (welfare_marginals): each removal is one LSA on the
-  welfare matrix with the participant's row or column, and every row and
+  welfare index with the participant's row or column, and every row and
   column left without an edge, dropped.
 - Sensing: zeta is the gain of the requested trip, one value per rider. The
-  sensing _Instance maps each rider to it once and raises ContractError when
-  one rider's edges carry two values. Both passes search rider subsets
-  (_optimal_primary_riders, then _sensing_tie_break and _pass2_riders),
-  since the sensing total depends only on which riders are served.
+  sensing index maps each rider to it once, on first use, and raises
+  ContractError when one rider's edges carry two values. Both passes search
+  rider subsets (_optimal_primary_riders, then _pass2_riders with pass 1's
+  matching as its only incumbent), since the sensing total depends only on
+  which riders are served. chosen is the winner's order: driver id for pass
+  1's matching, rider id for a _best_for_set result.
 - DS removal marginals (sensing_marginals): each removal is a slice of the
   settle's _Instance, with rows and columns dropped as for VCG, so the
   rider-subset search sees exactly the arrays a rebuilt reduced index would
@@ -68,6 +71,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -206,17 +210,17 @@ def build_candidates(drivers, riders, world: GridWorld, rates: market.Rates,
 
 
 def solve_welfare_max(problem: MatchingProblem,
-                      matrix: _WelfareMatrix | None = None) -> MatchingSolution:
+                      index: _Instance | None = None) -> MatchingSolution:
     """Exact welfare-maximizing matching; negative-welfare edges never help.
 
     One assignment solve settles a market whose optimum is certified unique
-    (see _certified_welfare_pick); ties go to _welfare_tie_break on the same
-    matrix. `matrix` is the problem's settle_index, built here when not given.
+    (see _certified_welfare_pick); a tie goes to _welfare_tie_break, from
+    that solve's pick. `index` is the settle_index, built when not given.
     """
-    m = _WelfareMatrix(problem.edges) if matrix is None else matrix
-    chosen = _certified_welfare_pick(m.edges, m)
-    if chosen is None:
-        chosen = _welfare_tie_break(m)
+    m = _welfare_index(problem.edges) if index is None else index
+    chosen, certified = _certified_welfare_pick(m)
+    if not certified:
+        chosen = _welfare_tie_break(m, chosen)
     value = _canonical_sum(chosen, "sigma")
     return MatchingSolution(chosen=chosen, objective_value=value,
                             welfare_total=value)
@@ -227,27 +231,26 @@ def solve_sensing_max(problem: MatchingProblem,
     """Exact sensing-maximizing matching with a non-negative total-welfare floor.
 
     Pass 1 (_optimal_primary_riders) finds the optimal sensing total and
-    pass 2 (_sensing_tie_break) the tie-break-optimal matching attaining it.
+    pass 2 (_pass2_riders) the tie-break-optimal matching attaining it.
     `inst` is the problem's settle_index, built here when not given.
     """
-    if inst is None:
-        inst = _Instance(problem.edges)
+    inst = _Instance(problem.edges) if inst is None else inst
     p_star, seed = _optimal_riders(inst)
-    chosen = _sensing_tie_break(inst, p_star, seed)
+    chosen = _pass2_riders(inst, p_star, seed)
     return MatchingSolution(chosen=chosen,
                             objective_value=_canonical_sum(chosen, "zeta"),
                             welfare_total=_canonical_sum(chosen, "sigma"))
 
 
 def settle_index(problem: MatchingProblem):
-    """The index one settle builds once and shares between its solve and its
-    removal marginals: the welfare matrix, or the sensing _Instance.
+    """The _Instance one settle builds once and shares between its solve and
+    its removal marginals: the welfare index, or the sensing one.
 
     Built per settle and passed down, never kept on the problem, so a
     problem object can be settled again under either objective.
     """
     if problem.objective == WELFARE:
-        return _WelfareMatrix(problem.edges)
+        return _welfare_index(problem.edges)
     if problem.objective == SENSING:
         return _Instance(problem.edges)
     raise ContractError(f"unknown objective {problem.objective!r}")
@@ -268,15 +271,15 @@ def marginal_objective(problem: MatchingProblem, remove: str) -> float:
     A per-removal reference for tests: settles price removals with
     welfare_marginals and sensing_marginals, and tests compare those against
     this. It rebuilds the reduced problem's index: the welfare value is one
-    LSA on the reduced welfare matrix, the sensing value pass 1 of the exact
-    search on a reduced _Instance, with no slicing and no warm start.
+    LSA on the reduced welfare index, the sensing value pass 1 of the exact
+    search on a reduced sensing index, with no slicing and no warm start.
     """
     if remove not in problem.drivers and remove not in problem.riders:
         raise ContractError(f"participant {remove!r} not in problem")
     reduced = problem.without(remove)
     if reduced.objective == WELFARE:
-        m = _WelfareMatrix(reduced.edges)
-        return _canonical_sum(_lsa_pick(m.w, m.by_pair)[1], "sigma")
+        m = _welfare_index(reduced.edges)
+        return _canonical_sum(_lsa_pick(m.s_raw, m.by_pair)[1], "sigma")
     if reduced.objective == SENSING:
         return _optimal_riders(_Instance(reduced.edges))[0]
     raise ContractError(f"unknown objective {reduced.objective!r}")
@@ -311,17 +314,21 @@ def _removals(index, problem: MatchingProblem, participants):
 
 
 def welfare_marginals(problem: MatchingProblem, participants,
-                      matrix: _WelfareMatrix | None = None) -> dict[str, float]:
+                      index: _Instance | None = None) -> dict[str, float]:
     """marginal_objective under the welfare objective, for many removals.
 
-    The welfare matrix (the settle index, built here when not given) is
+    The welfare index (the settle index, built here when not given) is
     shared by all removals. Each removal drops rows and columns as
     _removals says, so the assignment solve sees the same matrix that a
     rebuilt reduced problem would index, and picks the same matching.
     """
-    m = _WelfareMatrix(problem.edges) if matrix is None else matrix
-    return {p: _canonical_sum(m.pick(rows, cols), "sigma")
-            for p, rows, cols in _removals(m, problem, participants)}
+    m = _welfare_index(problem.edges) if index is None else index
+    out = {}
+    for p, rows, cols in _removals(m, problem, participants):
+        grid = np.ix_(rows, cols)
+        out[p] = _canonical_sum(_lsa_pick(m.s_raw[grid], m.by_pair[grid])[1],
+                                "sigma")
+    return out
 
 
 def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
@@ -335,6 +342,7 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
     module docstring).
     """
     index = _Instance(problem.edges) if inst is None else inst
+    zr = index.zr
     riders = list(index.r_index)
     optimal_set = frozenset(solution.matched_riders)
     out = {}
@@ -345,37 +353,15 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
         grid = np.ix_(rows, cols)
         out[p], _ = _optimal_primary_riders(
             index.s_raw[grid], index.has_edge[grid], index.by_pair[grid],
-            {riders[j]: c for c, j in enumerate(cols)}, index.zr,
+            {riders[j]: c for c, j in enumerate(cols)}, zr,
             incumbent=optimal_set - {p}, target=solution.objective_value,
             floor_lam=index.floor_multiplier)
     return out
 
 
-class _WelfareMatrix:
-    """max(sigma, 0) over edges with sigma >= 0, rows and columns in id order.
-
-    Edges with sigma < 0 are left out. by_pair holds each cell's edge.
-    """
-
-    def __init__(self, edges):
-        self.edges = edges = [e for e in edges if e.sigma >= 0.0]
-        self.d_index = {d: i for i, d in
-                        enumerate(sorted({e.driver for e in edges}))}
-        self.r_index = {r: j for j, r in
-                        enumerate(sorted({e.rider for e in edges}))}
-        self.w = np.zeros((len(self.d_index), len(self.r_index)))
-        self.has_edge = np.zeros(self.w.shape, dtype=bool)
-        self.by_pair = np.empty(self.w.shape, dtype=object)
-        for e in edges:
-            i, j = self.d_index[e.driver], self.r_index[e.rider]
-            self.w[i, j] = max(e.sigma, 0.0)
-            self.has_edge[i, j] = True
-            self.by_pair[i, j] = e
-
-    def pick(self, rows, cols) -> tuple[CandidateEdge, ...]:
-        """Positive-weight edges of one LSA optimum on the given submatrix."""
-        grid = np.ix_(rows, cols)
-        return _lsa_pick(self.w[grid], self.by_pair[grid])[1]
+def _welfare_index(edges) -> _Instance:
+    """The welfare program's _Instance, over the edges with sigma >= 0."""
+    return _Instance([e for e in edges if e.sigma >= 0.0])
 
 
 def _lsa_pick(w: np.ndarray, by_pair: np.ndarray) -> tuple[float, tuple]:
@@ -386,74 +372,53 @@ def _lsa_pick(w: np.ndarray, by_pair: np.ndarray) -> tuple[float, tuple]:
     return float(w[ri, ci].sum()), tuple(by_pair[ri[keep], ci[keep]])
 
 
-def _tau_biased_pick(w: np.ndarray, has_edge: np.ndarray,
-                     by_pair: np.ndarray) -> tuple:
-    """The LSA pick of w less 1e-7 * tau, steered toward the low-tau corner
-    of the welfare tie region."""
-    tau = np.zeros_like(w)
-    tau[has_edge] = [e.tau for e in by_pair[has_edge]]
-    return _lsa_pick(np.maximum(w - 1e-7 * tau, 0.0), by_pair)[1]
-
-
-def _certified_welfare_pick(edges, matrix: _WelfareMatrix | None = None
-                            ) -> tuple[CandidateEdge, ...] | None:
-    """The LSA welfare optimum when no other matching comes within _TOL.
+def _certified_welfare_pick(m: _Instance) -> tuple[tuple, bool]:
+    """The LSA welfare optimum of the welfare index m, and whether no other
+    matching comes within _TOL of it.
 
     Certificate: zeroing any chosen edge's weight costs the optimum more than
     _TOL, and no edge joins a driver and a rider both left unmatched. A
     matching that drops a chosen edge is then worse by more than _TOL, and
     one that keeps them all cannot add an edge. The tie-break compares
     totals within _PRUNE_TOL < _TOL, so it would pick this same edge set, in
-    the same (driver id) order. Returns None when the certificate fails.
-    `matrix` is the _WelfareMatrix of `edges`, built here when not given.
+    the same (driver id) order.
     """
-    if not edges:
-        return ()
-    m = _WelfareMatrix(edges) if matrix is None else matrix
-    w = m.w
+    if not m.edges:
+        return (), True
+    w = m.s_raw
     value, chosen = _lsa_pick(w, m.by_pair)
-    cells = [(m.d_index[e.driver], m.r_index[e.rider]) for e in chosen]
-    free_d = np.ones(w.shape[0], dtype=bool)
-    free_r = np.ones(w.shape[1], dtype=bool)
-    for i, j in cells:
-        free_d[i] = free_r[j] = False
-    if m.has_edge[np.ix_(free_d, free_r)].any():
-        return None
-    for i, j in cells:
+    rows = [m.d_index[e.driver] for e in chosen]
+    cols = [m.r_index[e.rider] for e in chosen]
+    if np.delete(np.delete(m.has_edge, rows, 0), cols, 1).any():
+        return chosen, False
+    for i, j in zip(rows, cols):
         weight, w[i, j] = w[i, j], 0.0
         without = _lsa_pick(w, m.by_pair)[0]
         w[i, j] = weight
         if value - without <= _TOL:
-            return None
-    return chosen
+            return chosen, False
+    return chosen, True
 
 
-def _welfare_tie_break(m: _WelfareMatrix) -> tuple[CandidateEdge, ...]:
-    """Tie-break-optimal maximum-welfare matching of the matrix's edges.
+def _welfare_tie_break(m: _Instance, pick) -> tuple[CandidateEdge, ...]:
+    """Tie-break-optimal maximum-welfare matching of the welfare index m.
 
-    The LSA pick is the first incumbent and its total the optimum p*; the
-    tau-biased pick is the second. An edge branch-and-bound over the welfare
-    face, edges in (-sigma, tau, pair) order and bounded by one memoised LSA
-    per set of free vertices, takes a leaf only when _better ranks it above
-    the incumbent. chosen keeps the winner's order: driver id for a pick,
+    `pick` is the certificate's LSA pick: the incumbent, and its total the
+    optimum p*. An edge branch-and-bound over the welfare face, edges in
+    (-sigma, tau, pair) order and bounded by one memoised LSA per set of
+    free vertices, takes a leaf only when _better ranks it above the
+    incumbent. chosen keeps the winner's order: driver id for the pick,
     (-sigma, tau, pair) for a leaf.
     """
-    best_chosen = _lsa_pick(m.w, m.by_pair)[1]
-    if not best_chosen:
+    if not pick:
         return ()
-    p_star = _canonical_sum(best_chosen, "sigma")
-    best_key = _solution_key(best_chosen, "sigma")
-    biased = _tau_biased_pick(m.w, m.has_edge, m.by_pair)
-    if biased and sum(e.sigma for e in biased) >= p_star - _TOL:
-        key = _solution_key(biased, "sigma")
-        if _better(key, best_key):
-            best_key, best_chosen = key, biased
+    p_star = _canonical_sum(pick, "sigma")
+    best_key, best_chosen = _solution_key(pick, "sigma"), pick
     edges = sorted(m.edges, key=lambda e: (-e.sigma, e.tau, e.pair))
     face = _welfare_face(m, edges)
-    edge_list, weights = (edges, m.w) if face is None else face
+    edge_list, weights = (edges, m.s_raw) if face is None else face
     n_edges = len(edge_list)
-    free_d = np.ones(len(m.d_index), dtype=bool)
-    free_r = np.ones(len(m.r_index), dtype=bool)
+    free_d, free_r = (np.ones(n, dtype=bool) for n in m.s_raw.shape)
     stack: list[CandidateEdge] = []
     memo: dict = {}
 
@@ -501,23 +466,23 @@ def _welfare_tie_break(m: _WelfareMatrix) -> tuple[CandidateEdge, ...]:
     return best_chosen
 
 
-def _welfare_face(m: _WelfareMatrix, edges, tol: float = 1e-6):
+def _welfare_face(m: _Instance, edges, tol: float = 1e-6):
     """Edges that can appear in some maximum-welfare matching.
 
     Solves the assignment LP relaxation and keeps edges with (near-)zero
     reduced cost; complementary slackness puts every optimal matching inside
     that subgraph, so tie-breaking never needs the remaining edges. Returns
     the kept edges, in the order of `edges` (those of m), and the welfare
-    matrix masked to them; None when the LP fails or keeps nothing.
+    weights masked to them; None when the LP fails or keeps nothing.
     """
     cand = [e for e in edges if e.sigma > 0.0]
     if not cand:
         return None
-    n_d, n_r = m.w.shape
+    n_d, n_r = m.s_raw.shape
     n_e = len(cand)
     rows = np.array([m.d_index[e.driver] for e in cand])
     cols = np.array([m.r_index[e.rider] for e in cand])
-    w = m.w[rows, cols]
+    w = m.s_raw[rows, cols]
     data = np.ones(2 * n_e)
     a_rows = np.concatenate([rows, n_d + cols])
     a_cols = np.concatenate([np.arange(n_e), np.arange(n_e)])
@@ -531,7 +496,7 @@ def _welfare_face(m: _WelfareMatrix, edges, tol: float = 1e-6):
     keep = reduced <= tol
     if not keep.any():
         return None
-    mask = np.zeros_like(m.w)
+    mask = np.zeros_like(m.s_raw)
     mask[rows[keep], cols[keep]] = w[keep]
     return [e for e, k in zip(cand, keep) if k], mask
 
@@ -566,34 +531,45 @@ def _better(a, b) -> bool:
 
 
 class _Instance:
-    """The sensing program's index, shared by its solve and all removals.
+    """One settle's index, shared by its solve and all removals.
 
-    z_raw and s_raw hold each edge's zeta and sigma (0 off the edges),
-    by_pair its edge; `zr` maps each rider to its zeta, and a rider whose
-    edges carry two values raises ContractError.
+    Rows and columns are drivers and riders in id order. s_raw holds each
+    edge's sigma (0 off the edges), has_edge the edges, by_pair their
+    objects. The sensing program's zr (each rider's zeta) and z_raw (each
+    edge's) are built on first use: a rider with two zeta values raises
+    ContractError there, and the welfare program never reads them.
     """
 
     def __init__(self, edges):
+        self.edges = edges
         self.d_index = {d: i for i, d in
                         enumerate(sorted({e.driver for e in edges}))}
         self.r_index = {r: i for i, r in
                         enumerate(sorted({e.rider for e in edges}))}
-        n_d, n_r = len(self.d_index), len(self.r_index)
-        self.z_raw = np.zeros((n_d, n_r))
-        self.s_raw = np.zeros((n_d, n_r))
-        self.has_edge = np.zeros((n_d, n_r), dtype=bool)
+        shape = len(self.d_index), len(self.r_index)
+        self.s_raw = np.zeros(shape)
+        self.has_edge = np.zeros(shape, dtype=bool)
         # Pair lookup as an array, so a removal can slice it like the rest.
-        self.by_pair = np.empty((n_d, n_r), dtype=object)
-        self.zr: dict[str, float] = {}
+        self.by_pair = np.empty(shape, dtype=object)
         for e in edges:
-            if self.zr.setdefault(e.rider, e.zeta) != e.zeta:
-                raise ContractError(f"rider {e.rider!r} has two zeta values")
             i, j = self.d_index[e.driver], self.r_index[e.rider]
-            self.z_raw[i, j] = e.zeta
             self.s_raw[i, j] = e.sigma
             self.has_edge[i, j] = True
             self.by_pair[i, j] = e
         self._floor_lam: float | None = None
+
+    @cached_property
+    def zr(self) -> dict[str, float]:
+        zr: dict[str, float] = {}
+        for e in self.edges:
+            if zr.setdefault(e.rider, e.zeta) != e.zeta:
+                raise ContractError(f"rider {e.rider!r} has two zeta values")
+        return zr
+
+    @cached_property
+    def z_raw(self) -> np.ndarray:
+        zeta = np.array([self.zr[r] for r in self.r_index])
+        return np.where(self.has_edge, zeta, 0.0)
 
     def floor_multiplier(self) -> float:
         """The multiplier of the sensing program's welfare floor.
@@ -613,8 +589,9 @@ class _Instance:
         if self._floor_lam is None:
 
             def line(lam):
-                w = self.lagrange_weights(self.z_raw, self.s_raw, lam)
-                _, pick = self.bound_pairs(w)
+                # 0 off the edges, where z_raw and s_raw are 0.
+                w = np.maximum(self.z_raw + lam * self.s_raw, 0.0)
+                pick = _lsa_pick(w, self.by_pair)[1]
                 return (_canonical_sum(pick, "zeta"),
                         _canonical_sum(pick, "sigma"))
 
@@ -634,17 +611,6 @@ class _Instance:
                     a_hi, b_hi = a, b
             self._floor_lam = lam
         return self._floor_lam
-
-    def lagrange_weights(self, obj: np.ndarray, cons: np.ndarray,
-                         lam: float) -> np.ndarray:
-        """Edge weights max(obj + lam * cons, 0) for a dual bound."""
-        w = np.maximum(obj + lam * cons, 0.0)
-        w[~self.has_edge] = 0.0
-        return w
-
-    def bound_pairs(self, weights: np.ndarray) -> tuple[float, tuple]:
-        """Value and edges of one max-weight matching on weights."""
-        return _lsa_pick(weights, self.by_pair)
 
 
 @dataclass(frozen=True)
@@ -871,30 +837,6 @@ def _optimal_riders(inst: _Instance):
                                    floor_lam=inst.floor_multiplier)
 
 
-def _sensing_tie_break(inst: _Instance, p_star: float, seed):
-    """Pass 2 of the sensing program: the tie-break-optimal matching among
-    those with sensing total p_star that meet the floor.
-
-    Pass 1's `seed` is the first incumbent. The plain and the tau-biased
-    welfare LSA picks join it when they attain p_star and meet the floor:
-    each is the welfare upper bound made feasible, so it prices every
-    lower-welfare subtree out of the search at once. _pass2_riders then
-    searches the rider sets.
-    """
-    if p_star <= _PRUNE_TOL and not seed:
-        return ()
-    best_key, best_chosen = _solution_key(seed, "zeta"), seed
-    sw = np.maximum(inst.s_raw, 0.0)
-    for pick in (inst.bound_pairs(sw)[1],
-                 _tau_biased_pick(sw, inst.has_edge, inst.by_pair)):
-        if (pick and sum(e.zeta for e in pick) >= p_star - _TOL
-                and sum(e.sigma for e in pick) >= -_TOL):
-            key = _solution_key(pick, "zeta")
-            if _better(key, best_key):
-                best_key, best_chosen = key, pick
-    return _pass2_riders(inst, p_star, best_key, best_chosen)
-
-
 def _best_for_set(inst: _Instance, cols: list, best_key, best_chosen):
     """Tie-break-optimal matching covering exactly the given rider columns.
 
@@ -955,13 +897,15 @@ def _best_for_set(inst: _Instance, cols: list, best_key, best_chosen):
     return best_key, best_chosen
 
 
-def _pass2_riders(inst: _Instance, p_star: float, best_key, best_chosen):
-    """Pass 2 of the sensing program.
+def _pass2_riders(inst: _Instance, p_star: float, seed):
+    """Pass 2 of the sensing program: the tie-break-optimal matching among
+    those with sensing total p_star that meet the floor.
 
-    The sensing total depends only on which riders are matched, so the
-    search enumerates rider subsets attaining the optimum (relaxed required
-    assignments pruning infeasible or lower-welfare branches) and tie-breaks
-    each candidate set with _best_for_set.
+    Pass 1's `seed` is the only incumbent. The sensing total depends only on
+    which riders are matched, so the search enumerates rider subsets
+    attaining the optimum (relaxed required assignments pruning infeasible
+    or lower-welfare branches) and tie-breaks each candidate set with
+    _best_for_set.
 
     After _LAGRANGE_AFTER nodes it also prunes with _FloorBound at the
     index's floor_multiplier: a leaf this search tie-breaks holds zeta of at
@@ -970,6 +914,9 @@ def _pass2_riders(inst: _Instance, p_star: float, best_key, best_chosen):
     (less the slack) holds none. The leaves visited, and their order, are
     those of the search without the bound.
     """
+    if p_star <= _PRUNE_TOL and not seed:
+        return ()
+    best_key, best_chosen = _solution_key(seed, "zeta"), seed
     n_d = len(inst.d_index)
     zr = inst.zr
     riders = sorted(zr, key=lambda r: (-zr[r], r))

@@ -143,9 +143,9 @@ def check_exactness(inst: RandomInstance) -> None:
 
 def _solve_sensing_no_floor(problem: MatchingProblem) -> float:
     # Without the floor the sensing program is one LSA on max(zeta, 0).
-    from .assignment import _canonical_sum, _Instance
+    from .assignment import _canonical_sum, _Instance, _lsa_pick
     inst = _Instance(problem.edges)
-    _, chosen = inst.bound_pairs(np.maximum(inst.z_raw, 0.0))
+    _, chosen = _lsa_pick(np.maximum(inst.z_raw, 0.0), inst.by_pair)
     return _canonical_sum(chosen, "zeta")
 
 

@@ -81,6 +81,8 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"{name} must be finite and "
                     f"{'positive' if positive else 'non-negative'}")
+        if not isinstance(self.floor_enabled, bool):
+            raise ConfigurationError("floor_enabled must be true or false")
         if self.bid_low > self.bid_high:
             raise ConfigurationError("bid_low must not exceed bid_high")
         for name in ("overreport_fraction", "remote_frac"):

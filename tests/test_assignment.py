@@ -18,6 +18,8 @@ from senseauction.gridworld import build_grid, build_prospect_model
 from senseauction.market import DriverState, Rates, RiderRequest
 from senseauction.sensing import CoverageState, SensingParams
 
+from test_sensing_scale import integer_zeta_market
+
 RATES = Rates(alpha=1.5, beta=2.75)
 
 
@@ -218,8 +220,10 @@ def test_welfare_max_matches_brute_force():
 
 def test_sensing_max_matches_brute_force():
     rng = np.random.default_rng(13)
-    for _ in range(80):
-        p = random_problem(rng)
+    # In integer_zeta_market(7, 8, 5) co-located d1 and d7 tie on r4, and
+    # only the pair list decides: brute force takes d1.
+    for p in ([random_problem(rng) for _ in range(80)]
+              + [integer_zeta_market(7, 8, 5)]):
         sol = solve_sensing_max(p)
         v, w, pairs = oracle.brute_force_solve(p, objective="sensing",
                                                floor=True, drop_negative=False)

@@ -47,6 +47,7 @@ def test_malformed_config_is_usage_error(tmp_path):
     {"fleet_size": 2.5},
     {"sensing_exponent": 1.5},
     {"world": {"rows": 2, "cols": 2, "densities": [1, 1, 1]}},
+    {"floor_enabled": "off"},        # a non-empty string is truthy
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, fields):
     bad = tmp_path / "bad.json"
@@ -220,11 +221,11 @@ def test_check_reports_violation_with_replay(tmp_path, monkeypatch):
     # Without the floor the sensing program is one LSA on max(zeta, 0).
     from senseauction import properties
     from senseauction.assignment import (MatchingSolution, _canonical_sum,
-                                         _Instance)
+                                         _Instance, _lsa_pick)
 
     def floorless(problem):
         inst = _Instance(problem.edges)
-        _, chosen = inst.bound_pairs(np.maximum(inst.z_raw, 0.0))
+        _, chosen = _lsa_pick(np.maximum(inst.z_raw, 0.0), inst.by_pair)
         return MatchingSolution(
             chosen=chosen,
             objective_value=_canonical_sum(chosen, "zeta"),

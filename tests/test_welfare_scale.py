@@ -102,8 +102,14 @@ def lsa_welfare(problem):
 
 
 def is_tie(problem):
-    edges = [e for e in problem.edges if e.sigma >= 0.0]
-    return asg._certified_welfare_pick(edges) is None
+    return not asg._certified_welfare_pick(
+        asg._welfare_index(problem.edges))[1]
+
+
+def tie_break(problem):
+    """The tie-break search on the welfare index, from its LSA pick."""
+    m = asg._welfare_index(problem.edges)
+    return asg._welfare_tie_break(m, asg._lsa_pick(m.s_raw, m.by_pair)[1])
 
 
 def test_welfare_max_equals_exact_search_at_scale(markets):
@@ -113,41 +119,36 @@ def test_welfare_max_equals_exact_search_at_scale(markets):
     for problem in markets:
         paths["tie" if is_tie(problem) else "certified"] += 1
         got = asg.solve_welfare_max(problem)
-        want = asg._welfare_tie_break(asg._WelfareMatrix(problem.edges))
+        want = tie_break(problem)
         assert got.chosen == want            # same edges, same order
         assert got.objective_value == pytest.approx(lsa_welfare(problem),
                                                     abs=1e-9, rel=0)
     assert paths["certified"] > 0 and paths["tie"] > 0, paths
 
 
-def lsa_picks(problem):
-    """Edge sets of the plain and the tau-biased LSA pick on the welfare
-    matrix: max(sigma, 0) over the sigma >= 0 edges, ids in sorted order."""
+def lsa_pick(problem):
+    """Edge set of the LSA pick on the welfare matrix: max(sigma, 0) over
+    the sigma >= 0 edges, ids in sorted order."""
     edges = [e for e in problem.edges if e.sigma >= 0.0]
     drivers = sorted({e.driver for e in edges})
     riders = sorted({e.rider for e in edges})
     w = np.zeros((len(drivers), len(riders)))
-    tau = np.zeros_like(w)
     at = {}
     for e in edges:
         i, j = drivers.index(e.driver), riders.index(e.rider)
-        w[i, j], tau[i, j], at[i, j] = max(e.sigma, 0.0), e.tau, e
-    picks = []
-    for weights in (w, np.maximum(w - 1e-7 * tau, 0.0)):
-        rows, cols = linear_sum_assignment(weights, maximize=True)
-        picks.append({at[i, j].pair for i, j in zip(rows, cols)
-                      if weights[i, j] > 0.0})
-    return picks
+        w[i, j], at[i, j] = max(e.sigma, 0.0), e
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    return {at[i, j].pair for i, j in zip(rows, cols) if w[i, j] > 0.0}
 
 
 def test_tie_order_rule(markets):
-    """On a tie, chosen is in driver id order when its edges are the plain
-    or the tau-biased LSA pick, and otherwise in (-sigma, tau, pair) order,
-    the edge order of the tie-break search. The event log writes it."""
+    """On a tie, chosen is in driver id order when its edges are the LSA
+    pick, and otherwise in (-sigma, tau, pair) order, the edge order of the
+    tie-break search. The event log writes it."""
     orders = {"pick": 0, "search": 0}
     for problem in filter(is_tie, markets):
         chosen = asg.solve_welfare_max(problem).chosen
-        if {e.pair for e in chosen} in lsa_picks(problem):
+        if {e.pair for e in chosen} == lsa_pick(problem):
             orders["pick"] += 1
             assert list(chosen) == sorted(chosen, key=lambda e: e.driver)
         else:
@@ -163,7 +164,7 @@ def test_small_colocated_markets_match_brute_force():
         ties += is_tie(problem)
         _, _, pairs = oracle.brute_force_solve(problem, "welfare")
         got = asg.solve_welfare_max(problem).chosen
-        tie = asg._welfare_tie_break(asg._WelfareMatrix(problem.edges))
+        tie = tie_break(problem)
         assert (sorted(e.pair for e in got) == sorted(e.pair for e in tie)
                 == sorted(pairs))
     assert ties > 0
@@ -174,8 +175,7 @@ def test_batched_vcg_marginals_equal_per_removal_solves(markets):
     for problem in markets:
         problem.objective = asg.WELFARE
         solution = asg.solve_welfare_max(problem)
-        ties += asg._certified_welfare_pick(
-            [e for e in problem.edges if e.sigma >= 0.0]) is None
+        ties += is_tie(problem)
         per_removal = {p: asg.marginal_objective(problem, p)
                        for p in solution.matched_drivers
                        + solution.matched_riders}
