@@ -9,16 +9,11 @@ lower total pick-up distance, then lexicographic edge list).
 Which path runs:
 
 - Welfare: one linear_sum_assignment (LSA) on max(sigma, 0) over the edges
-  with sigma >= 0. Its matching is returned, in driver id order, when a
-  uniqueness certificate holds: zeroing any chosen edge's weight lowers the
-  LSA optimum by more than 1e-9, and no sigma >= 0 edge joins a driver and a
-  rider both left unmatched. Then no other matching comes within 1e-9 of the
-  optimum, and since the tie-break compares totals within 1e-12 it would
-  return the same edges. Otherwise (an exact tie, common when co-located
-  drivers have identical welfare and pick-up distance and only the driver id
-  decides) _welfare_tie_break starts from that LSA pick: it fixes the
-  optimum and is the only incumbent, and an edge branch-and-bound over the
-  welfare face (_welfare_face) applies the tie-break. chosen is the winner's
+  with sigma >= 0, returned in driver id order when _certified_welfare_pick
+  proves that no other matching comes within 1e-9 of it. Otherwise (an
+  exact tie, common when co-located drivers have identical welfare and
+  pick-up distance) _welfare_tie_break runs an edge branch-and-bound from
+  that pick over the welfare face (_welfare_face). chosen is the winner's
   order, observable in the event log: driver id for the pick, (-sigma, tau,
   pair) for a branch-and-bound leaf.
 - One index per settle (settle_index): an _Instance over the sigma >= 0
@@ -75,8 +70,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
+from scipy.optimize import linear_sum_assignment
 
 from . import market, sensing as sensing_mod
 from .errors import ContractError
@@ -220,7 +214,7 @@ def solve_welfare_max(problem: MatchingProblem,
     m = _welfare_index(problem.edges) if index is None else index
     chosen, certified = _certified_welfare_pick(m)
     if not certified:
-        chosen = _welfare_tie_break(m, chosen)
+        chosen = _welfare_tie_break(problem, m, chosen)
     value = _canonical_sum(chosen, "sigma")
     return MatchingSolution(chosen=chosen, objective_value=value,
                             welfare_total=value)
@@ -400,23 +394,18 @@ def _certified_welfare_pick(m: _Instance) -> tuple[tuple, bool]:
     return chosen, True
 
 
-def _welfare_tie_break(m: _Instance, pick) -> tuple[CandidateEdge, ...]:
+def _welfare_tie_break(problem: MatchingProblem, m: _Instance,
+                       pick) -> tuple[CandidateEdge, ...]:
     """Tie-break-optimal maximum-welfare matching of the welfare index m.
 
-    `pick` is the certificate's LSA pick: the incumbent, and its total the
-    optimum p*. An edge branch-and-bound over the welfare face, edges in
-    (-sigma, tau, pair) order and bounded by one memoised LSA per set of
-    free vertices, takes a leaf only when _better ranks it above the
-    incumbent. chosen keeps the winner's order: driver id for the pick,
-    (-sigma, tau, pair) for a leaf.
+    `pick`, the certificate's LSA pick, is the incumbent, and its total the
+    optimum p*. An edge branch-and-bound over _welfare_face, bounded by one
+    memoised LSA per set of free vertices, takes a leaf only when _better
+    ranks it above the incumbent. chosen keeps the winner's order.
     """
-    if not pick:
-        return ()
     p_star = _canonical_sum(pick, "sigma")
     best_key, best_chosen = _solution_key(pick, "sigma"), pick
-    edges = sorted(m.edges, key=lambda e: (-e.sigma, e.tau, e.pair))
-    face = _welfare_face(m, edges)
-    edge_list, weights = (edges, m.s_raw) if face is None else face
+    edge_list, weights, _, _ = _welfare_face(problem, m, pick)
     n_edges = len(edge_list)
     free_d, free_r = (np.ones(n, dtype=bool) for n in m.s_raw.shape)
     stack: list[CandidateEdge] = []
@@ -466,39 +455,27 @@ def _welfare_tie_break(m: _Instance, pick) -> tuple[CandidateEdge, ...]:
     return best_chosen
 
 
-def _welfare_face(m: _Instance, edges, tol: float = 1e-6):
-    """Edges that can appear in some maximum-welfare matching.
+def _welfare_face(problem: MatchingProblem, m: _Instance, pick):
+    """The sigma > 0 edges of m with reduced cost <= 1e-6, in (-sigma, tau,
+    pair) order, the welfare weights masked to them, and the duals u (rows)
+    and v (columns) that price them.
 
-    Solves the assignment LP relaxation and keeps edges with (near-)zero
-    reduced cost; complementary slackness puts every optimal matching inside
-    that subgraph, so tie-breaking never needs the remaining edges. Returns
-    the kept edges, in the order of `edges` (those of m), and the welfare
-    weights masked to them; None when the LP fails or keeps nothing.
+    Each driver of the LSA pick earns its marginal contribution V - V_-d
+    (welfare_marginals), its rider the rest of the edge, every other vertex
+    0: the drivers' optimal point of the assignment game's core, which is an
+    optimal dual of its LP (Shapley and Shubik 1971; Leonard 1983). By
+    complementary slackness every optimal matching lies on these edges.
     """
-    cand = [e for e in edges if e.sigma > 0.0]
-    if not cand:
-        return None
-    n_d, n_r = m.s_raw.shape
-    n_e = len(cand)
-    rows = np.array([m.d_index[e.driver] for e in cand])
-    cols = np.array([m.r_index[e.rider] for e in cand])
-    w = m.s_raw[rows, cols]
-    data = np.ones(2 * n_e)
-    a_rows = np.concatenate([rows, n_d + cols])
-    a_cols = np.concatenate([np.arange(n_e), np.arange(n_e)])
-    a_ub = coo_matrix((data, (a_rows, a_cols)), shape=(n_d + n_r, n_e))
-    res = linprog(-w, A_ub=a_ub, b_ub=np.ones(n_d + n_r),
-                  bounds=(0.0, 1.0), method="highs")
-    if not res.success:
-        return None
-    duals = -np.asarray(res.ineqlin.marginals)
-    reduced = duals[rows] + duals[n_d + cols] - w
-    keep = reduced <= tol
-    if not keep.any():
-        return None
-    mask = np.zeros_like(m.s_raw)
-    mask[rows[keep], cols[keep]] = w[keep]
-    return [e for e, k in zip(cand, keep) if k], mask
+    value = _canonical_sum(pick, "sigma")
+    removed = welfare_marginals(problem, [e.driver for e in pick], m)
+    u, v = np.zeros(m.s_raw.shape[0]), np.zeros(m.s_raw.shape[1])
+    for e in pick:
+        i, j = m.d_index[e.driver], m.r_index[e.rider]
+        u[i] = value - removed[e.driver]
+        v[j] = e.sigma - u[i]
+    keep = (m.s_raw > 0.0) & (u[:, None] + v[None, :] - m.s_raw <= 1e-6)
+    face = sorted(m.by_pair[keep], key=lambda e: (-e.sigma, e.tau, e.pair))
+    return face, np.where(keep, m.s_raw, 0.0), u, v
 
 
 def _canonical_sum(chosen, attr: str) -> float:
@@ -915,7 +892,11 @@ def _pass2_riders(inst: _Instance, p_star: float, seed):
     those of the search without the bound.
     """
     if p_star <= _PRUNE_TOL and not seed:
-        return ()
+        # zeta is never negative, so every optimal matching serves only
+        # riders with zeta 0; the maximum-welfare one of those meets the floor.
+        zero = [e for e in inst.edges if inst.zr[e.rider] == 0.0]
+        return solve_welfare_max(MatchingProblem(
+            zero, tuple(inst.d_index), tuple(inst.r_index))).chosen
     best_key, best_chosen = _solution_key(seed, "zeta"), seed
     n_d = len(inst.d_index)
     zr = inst.zr

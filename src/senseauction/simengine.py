@@ -403,22 +403,12 @@ def _match_rows(outcomes):
             yield m
 
 
-def _interval_kpis(state: SimulationState, interval: int, outcomes) -> dict:
-    config = state.config
+def _match_kpis(config: ScenarioConfig, outcomes) -> dict:
+    """The KPIs taken over the priced matches of `outcomes`."""
     matches = list(_match_rows(outcomes))
-    generated = sum(o.n_generated for o in outcomes)
-    matched = sum(o.n_matched for o in outcomes)
-    covered = float((state.coverage.counts[interval] >= 1).mean())
     return {
-        "interval": interval,
-        "matching_rate": matched / generated if generated else 0.0,
         "avg_wait_min": (sum(m.tau for m in matches) / len(matches)
                          / config.speed_kmh * 60.0) if matches else 0.0,
-        "sensing_utility": float(
-            (state.coverage.counts[interval].astype(float)
-             ** config.sensing_exponent).mean()),
-        "coverage_rate": covered,
-        "revenue": sum(o.settlement.revenue for o in outcomes),
         "avg_u_driver": (sum(m.u_d for m in matches) / len(matches)
                          if matches else 0.0),
         "avg_u_rider": (sum(m.u_r for m in matches) / len(matches)
@@ -427,9 +417,25 @@ def _interval_kpis(state: SimulationState, interval: int, outcomes) -> dict:
     }
 
 
+def _interval_kpis(state: SimulationState, interval: int, outcomes) -> dict:
+    config = state.config
+    generated = sum(o.n_generated for o in outcomes)
+    matched = sum(o.n_matched for o in outcomes)
+    covered = float((state.coverage.counts[interval] >= 1).mean())
+    return {
+        "interval": interval,
+        "matching_rate": matched / generated if generated else 0.0,
+        "sensing_utility": float(
+            (state.coverage.counts[interval].astype(float)
+             ** config.sensing_exponent).mean()),
+        "coverage_rate": covered,
+        "revenue": sum(o.settlement.revenue for o in outcomes),
+        **_match_kpis(config, outcomes),
+    }
+
+
 def _aggregate(state: SimulationState, per_interval) -> KpiReport:
     config = state.config
-    matches = list(_match_rows(state.outcomes))
     phi = total_sensing_utility(state.params, state.coverage)
     covered = float((state.coverage.counts >= 1).mean(axis=1).mean())
     return KpiReport(
@@ -437,18 +443,12 @@ def _aggregate(state: SimulationState, per_interval) -> KpiReport:
         fleet_size=config.fleet_size, seed=config.seed,
         matching_rate=(state.total_matched / state.total_generated
                        if state.total_generated else 0.0),
-        avg_wait_min=(sum(m.tau for m in matches) / len(matches)
-                      / config.speed_kmh * 60.0) if matches else 0.0,
         sensing_utility=phi,
         coverage_rate=covered,
         revenue=sum(o.settlement.revenue for o in state.outcomes),
-        avg_u_driver=(sum(m.u_d for m in matches) / len(matches)
-                      if matches else 0.0),
-        avg_u_rider=(sum(m.u_r for m in matches) / len(matches)
-                     if matches else 0.0),
-        high_zeta_matches=sum(1 for m in matches if m.zeta >= 0.5),
         per_interval=per_interval,
-        outcomes=state.outcomes)
+        outcomes=state.outcomes,
+        **_match_kpis(config, state.outcomes))
 
 
 def kpi_rows(report: KpiReport) -> list[list]:

@@ -221,9 +221,12 @@ def test_welfare_max_matches_brute_force():
 def test_sensing_max_matches_brute_force():
     rng = np.random.default_rng(13)
     # In integer_zeta_market(7, 8, 5) co-located d1 and d7 tie on r4, and
-    # only the pair list decides: brute force takes d1.
+    # only the pair list decides: brute force takes d1. The optimal sensing
+    # total of (4, 6, 6) and (35, 6, 6) is 0, so the tie-break alone picks
+    # the matching: the maximum-welfare one over the riders with zeta 0.
     for p in ([random_problem(rng) for _ in range(80)]
-              + [integer_zeta_market(7, 8, 5)]):
+              + [integer_zeta_market(7, 8, 5), integer_zeta_market(4, 6, 6),
+                 integer_zeta_market(35, 6, 6)]):
         sol = solve_sensing_max(p)
         v, w, pairs = oracle.brute_force_solve(p, objective="sensing",
                                                floor=True, drop_negative=False)

@@ -109,7 +109,8 @@ def is_tie(problem):
 def tie_break(problem):
     """The tie-break search on the welfare index, from its LSA pick."""
     m = asg._welfare_index(problem.edges)
-    return asg._welfare_tie_break(m, asg._lsa_pick(m.s_raw, m.by_pair)[1])
+    return asg._welfare_tie_break(problem, m,
+                                  asg._lsa_pick(m.s_raw, m.by_pair)[1])
 
 
 def test_welfare_max_equals_exact_search_at_scale(markets):
@@ -124,6 +125,29 @@ def test_welfare_max_equals_exact_search_at_scale(markets):
         assert got.objective_value == pytest.approx(lsa_welfare(problem),
                                                     abs=1e-9, rel=0)
     assert paths["certified"] > 0 and paths["tie"] > 0, paths
+
+
+def test_welfare_face_is_cut_by_an_optimal_dual(markets):
+    """On every tie, the duals behind the welfare face (the LSA pick's own
+    driver removal marginals) are an optimal dual of the assignment LP:
+    non-negative, covering every sigma >= 0 edge, tight on the pick, and
+    summing to the optimum. All within 1e-9, since V - V_-d of a driver
+    that another driver can replace may round to about -1e-15."""
+    ties = 0
+    for problem in filter(is_tie, markets):
+        ties += 1
+        m = asg._welfare_index(problem.edges)
+        pick = asg._certified_welfare_pick(m)[0]
+        face, _, u, v = asg._welfare_face(problem, m, pick)
+        assert u.min(initial=0.0) >= -1e-9 and v.min(initial=0.0) >= -1e-9
+        reduced = u[:, None] + v[None, :] - m.s_raw
+        assert reduced[m.has_edge].min() >= -1e-9
+        for e in pick:
+            assert abs(reduced[m.d_index[e.driver], m.r_index[e.rider]]) <= 1e-9
+        assert set(pick) <= set(face)
+        assert u.sum() + v.sum() == pytest.approx(
+            asg._canonical_sum(pick, "sigma"), abs=1e-9, rel=0)
+    assert ties > 0
 
 
 def lsa_pick(problem):
