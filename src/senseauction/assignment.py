@@ -24,34 +24,35 @@ Which path runs:
   column left without an edge, dropped.
 - Sensing: zeta is the gain of the requested trip, one value per rider. The
   sensing index maps each rider to it once, on first use, and raises
-  ContractError when one rider's edges carry two values. Both passes search
-  rider subsets (_optimal_primary_riders, then _pass2_riders with pass 1's
-  matching as its only incumbent), since the sensing total depends only on
-  which riders are served. chosen is the winner's order: driver id for pass
-  1's matching, rider id for a _best_for_set result.
-- DS removal marginals (sensing_marginals): each removal is a slice of the
-  settle's _Instance, with rows and columns dropped as for VCG, so the
-  rider-subset search sees exactly the arrays a rebuilt reduced index would
-  hold. The search starts from an incumbent, the optimal rider set R* for a
-  driver removal and R* less the rider for a rider removal, kept only if it
-  meets the welfare floor, and ends once it reaches the full optimum U*
-  (within 1e-12). That is exact: removing a participant only deletes
-  feasible matchings, so no removal's optimum exceeds U*. Most driver
-  removals cost one LSA.
-- Floor bound (_FloorBound) in the three rider-subset searches: pass 1
-  (_optimal_primary_riders, also every DS removal) and pass 2
-  (_pass2_riders). Their zeta bound, prefix sums, cannot see the welfare
-  floor. Lagrangian relaxation of the floor can: for lam >= 0, sum(zeta)
-  <= max over matchings of sum(zeta + lam * sigma) for every matching that
-  meets it, and at a node that maximum is one LSA (forced riders must be
-  served, excluded ones cannot). lam is computed once per settle, on first
-  use, by breakpoint iteration on the root bound (_Instance.
-  floor_multiplier, a few LSAs) and kept on the settle's _Instance, never on
-  the problem; the solve, pass 2 and every removal share it. A search turns
-  the bound on after _LAGRANGE_AFTER nodes. A child whose parent's
-  Lagrangian matching still fits it inherits the bound without an LSA, and
-  an inner node whose held matching has welfare >= _FLOOR_SLACK skips the
-  big-M welfare relaxation, which it would pass for sure.
+  ContractError when one rider's edges carry two values. The sensing total
+  depends only on which riders are served, so pass 1
+  (_optimal_primary_riders), every DS removal and pass 2 (_pass2_riders,
+  with pass 1's matching as its only incumbent) each walk rider subsets on
+  one _RiderSearch: one rider order, one zeta bound and one big-M welfare
+  relaxation (relaxed_sigma), also behind pass 2's tie-break of each rider
+  set (best_for_set). chosen is the winner's order: driver id for pass 1's
+  matching, rider id for a best_for_set result.
+- DS removal marginals (sensing_marginals): each removal is a pass-1 search
+  over a slice of the settle's _Instance, with rows and columns dropped as
+  for VCG, so it sees exactly the arrays a rebuilt reduced index would
+  hold. It starts from an incumbent, the optimal rider set R* for a driver
+  removal and R* less the rider for a rider removal, kept only if it meets
+  the welfare floor, and ends once it reaches the full optimum U* (within
+  1e-12). That is exact: removing a participant only deletes feasible
+  matchings, so no removal's optimum exceeds U*. Most driver removals cost
+  one LSA.
+- Floor bound (_FloorBound): the zeta bound, prefix sums, cannot see the
+  welfare floor. Lagrangian relaxation of the floor can: for lam >= 0,
+  sum(zeta) <= max over matchings of sum(zeta + lam * sigma) for every
+  matching that meets it, and at a node that maximum is one LSA (forced
+  riders must be served, excluded ones cannot). lam is computed once per
+  settle, on first use, by breakpoint iteration on the root bound
+  (_Instance.floor_multiplier, a few LSAs) and kept on the settle's
+  _Instance, never on the problem; the solve, pass 2 and every removal
+  share it. A search turns the bound on after _LAGRANGE_AFTER nodes. A
+  child whose parent's Lagrangian matching still fits it inherits the bound
+  without an LSA, and an inner node whose held matching has welfare >=
+  _FLOOR_SLACK skips relaxed_sigma, which it would pass for sure.
 - Prune-only rule: the bound removes only subtrees in which the search
   without it would accept no leaf (pass 1) or tie-break no rider set
   (pass 2), with slack for the floor's 1e-9 tolerance and the big-M
@@ -229,7 +230,7 @@ def solve_sensing_max(problem: MatchingProblem,
     `inst` is the problem's settle_index, built here when not given.
     """
     inst = _Instance(problem.edges) if inst is None else inst
-    p_star, seed = _optimal_riders(inst)
+    p_star, seed = _optimal_primary_riders(_RiderSearch(inst))
     chosen = _pass2_riders(inst, p_star, seed)
     return MatchingSolution(chosen=chosen,
                             objective_value=_canonical_sum(chosen, "zeta"),
@@ -275,7 +276,8 @@ def marginal_objective(problem: MatchingProblem, remove: str) -> float:
         m = _welfare_index(reduced.edges)
         return _canonical_sum(_lsa_pick(m.s_raw, m.by_pair)[1], "sigma")
     if reduced.objective == SENSING:
-        return _optimal_riders(_Instance(reduced.edges))[0]
+        search = _RiderSearch(_Instance(reduced.edges))
+        return _optimal_primary_riders(search)[0]
     raise ContractError(f"unknown objective {reduced.objective!r}")
 
 
@@ -314,15 +316,17 @@ def welfare_marginals(problem: MatchingProblem, participants,
     The welfare index (the settle index, built here when not given) is
     shared by all removals. Each removal drops rows and columns as
     _removals says, so the assignment solve sees the same matrix that a
-    rebuilt reduced problem would index, and picks the same matching.
+    rebuilt reduced problem would index, and picks the same matching. Its
+    value is kept in the index's `removed`, so a removal that a welfare tie
+    face and the settle's pricing both ask for is solved once.
     """
     m = _welfare_index(problem.edges) if index is None else index
-    out = {}
-    for p, rows, cols in _removals(m, problem, participants):
+    new = [p for p in participants if p not in m.removed]
+    for p, rows, cols in _removals(m, problem, new):
         grid = np.ix_(rows, cols)
-        out[p] = _canonical_sum(_lsa_pick(m.s_raw[grid], m.by_pair[grid])[1],
-                                "sigma")
-    return out
+        m.removed[p] = _canonical_sum(
+            _lsa_pick(m.s_raw[grid], m.by_pair[grid])[1], "sigma")
+    return {p: m.removed[p] for p in participants}
 
 
 def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
@@ -336,20 +340,15 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
     module docstring).
     """
     index = _Instance(problem.edges) if inst is None else inst
-    zr = index.zr
-    riders = list(index.r_index)
     optimal_set = frozenset(solution.matched_riders)
     out = {}
     for p, rows, cols in _removals(index, problem, participants):
         if not (rows.size and cols.size):
             out[p] = 0.0
             continue
-        grid = np.ix_(rows, cols)
         out[p], _ = _optimal_primary_riders(
-            index.s_raw[grid], index.has_edge[grid], index.by_pair[grid],
-            {riders[j]: c for c, j in enumerate(cols)}, zr,
-            incumbent=optimal_set - {p}, target=solution.objective_value,
-            floor_lam=index.floor_multiplier)
+            _RiderSearch(index, rows, cols), incumbent=optimal_set - {p},
+            target=solution.objective_value)
     return out
 
 
@@ -515,6 +514,8 @@ class _Instance:
     objects. The sensing program's zr (each rider's zeta) and z_raw (each
     edge's) are built on first use: a rider with two zeta values raises
     ContractError there, and the welfare program never reads them.
+    removed holds the welfare_marginals values solved so far, by
+    participant.
     """
 
     def __init__(self, edges):
@@ -534,6 +535,7 @@ class _Instance:
             self.has_edge[i, j] = True
             self.by_pair[i, j] = e
         self._floor_lam: float | None = None
+        self.removed: dict[str, float] = {}
 
     @cached_property
     def zr(self) -> dict[str, float]:
@@ -660,236 +662,245 @@ class _FloorBound:
                         rows, cols, float(self.s_raw[rows, cols].sum()))
 
 
-def _forced_cols(status, r_idx, k):
-    """Columns of the riders a rider-subset node at depth k forces in."""
-    return [r_idx[m] for m in range(k) if status[m] == 1]
+class _RiderSearch:
+    """One rider-subset search of the sensing program, over an _Instance's
+    arrays or over their slice at a removal's rows and cols.
 
-
-def _optimal_primary_riders(s_raw, has_edge, by_pair, r_index, zr,
-                            incumbent=frozenset(), target=math.inf,
-                            floor_lam=None):
-    """Pass 1 of the sensing program, with the welfare floor.
-
-    The sensing total depends only on which riders are matched, so branch
-    over rider subsets: zeta bounds come from prefix sums, floor feasibility
-    from a max-welfare assignment that is forced to match the chosen riders.
-    s_raw, has_edge and by_pair are an _Instance's arrays, or slices of
-    them; r_index maps each rider to its column and zr gives its zeta.
-
-    A removal search passes a rider set known to be good as `incumbent`
-    (routed first and kept only if it meets the floor) and the full
-    market's optimum as `target`; the search ends once its best value
-    reaches target - _PRUNE_TOL.
-
-    After _LAGRANGE_AFTER nodes the search also prunes with _FloorBound at
-    the multiplier `floor_lam()` (the settle index's floor_multiplier), and
-    only where the prefix bound would let no leaf beat best_p either: the
-    full solve then returns the same matching. A removal search, which
-    needs only the value, also takes a node's Lagrangian matching as its
-    incumbent when that matching meets the floor.
+    The sensing total depends only on which riders are matched, so the
+    search decides riders one by one in (-zeta, id) order (r_idx holds their
+    columns), 'in' before 'out'. zeta_bound is the prefix-sum bound on what
+    the undecided riders can add. relaxed_sigma is the big-M welfare
+    relaxation at the current status (0 undecided, 1 in, 2 out), and
+    best_for_set tie-breaks one fixed rider set.
     """
-    n_d = s_raw.shape[0]
-    riders = sorted(r_index, key=lambda r: (-zr[r], r))
-    r_idx = [r_index[r] for r in riders]
-    suffix = np.zeros(len(riders) + 1)
-    for k in range(len(riders) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + max(zr[riders[k]], 0.0)
-    big = 1000.0 * (1.0 + float(np.abs(s_raw).sum()))
-    required_edge = np.where(has_edge, s_raw + big, -big)
-    optional_edge = np.where(has_edge, np.maximum(s_raw, 0.0), 0.0)
 
-    def relaxed_sigma(status, with_pairs=False):
-        # Max welfare with 'in' riders forced, 'undecided' optional and
-        # 'out' riders removed; upper-bounds the welfare of any completion.
-        # The matching's edges are returned when `with_pairs`.
-        cols = [(k, j) for k, j in enumerate(r_idx) if status[k] != 2]
+    def __init__(self, inst: _Instance, rows=None, cols=None):
+        grid, self.r_index = (slice(None), slice(None)), inst.r_index
+        if rows is not None:
+            grid, riders = np.ix_(rows, cols), list(inst.r_index)
+            self.r_index = {riders[j]: c for c, j in enumerate(cols)}
+        self.s_raw, self.has_edge, self.by_pair = (
+            inst.s_raw[grid], inst.has_edge[grid], inst.by_pair[grid])
+        self.zr = zr = inst.zr
+        self.floor_lam = inst.floor_multiplier
+        self.riders = sorted(self.r_index, key=lambda r: (-zr[r], r))
+        self.zeta = [zr[r] for r in self.riders]
+        self.r_idx = [self.r_index[r] for r in self.riders]
+        self.suffix = suffix = [0.0] * (len(self.riders) + 1)
+        for k in range(len(self.riders) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] + max(self.zeta[k], 0.0)
+        self.big = 1000.0 * (1.0 + float(np.abs(self.s_raw).sum()))
+        self.required_edge = np.where(self.has_edge, self.s_raw + self.big,
+                                      -self.big)
+        self.optional_edge = np.where(self.has_edge,
+                                      np.maximum(self.s_raw, 0.0), 0.0)
+        self.status = [0] * len(self.riders)
+        self.nodes = 0
+        self.lag = None
+
+    def zeta_bound(self, k, n_in, cur_p):
+        # Riders come in descending zeta: the suffix's top is its prefix.
+        take = min(self.s_raw.shape[0] - n_in, len(self.riders) - k)
+        return cur_p + (self.suffix[k] - self.suffix[k + take])
+
+    def _relax(self, w, n_req):
+        """The welfare relaxation's one sum: (total, rows, cols) of one LSA
+        on w, n_req of whose columns are required (required_edge). total is
+        None when a required column is left unmatched or matched on a
+        missing edge, which shows up as a missing +big term."""
+        ri, ci = linear_sum_assignment(w, maximize=True)
+        total = float(w[ri, ci].sum())
+        if total < n_req * self.big - self.big / 2:
+            return None, ri, ci
+        return total - n_req * self.big, ri, ci
+
+    def relaxed_sigma(self, with_pairs=False):
+        """Max welfare with 'in' riders forced, undecided ones optional and
+        'out' ones removed, or None when no matching serves the 'in' riders;
+        it bounds the welfare of every completion. With `with_pairs`, also
+        the matching: the LSA's positive-weight cells, in row order."""
+        cols = [(st, j) for st, j in zip(self.status, self.r_idx) if st != 2]
         if not cols:
             return 0.0, ()
-        w = np.empty((n_d, len(cols)))
-        required = []
-        for c, (k, j) in enumerate(cols):
-            if status[k] == 1:
-                w[:, c] = required_edge[:, j]
-                required.append(c)
-            else:
-                w[:, c] = optional_edge[:, j]
-        ri, ci = linear_sum_assignment(w, maximize=True)
-        got = dict(zip(ci, ri))
-        required_set = set(required)
-        if any(c not in got for c in required):
-            return None, ()
-        total = 0.0
-        pairs = []
-        for c, i in got.items():
-            if c in required_set:
-                if w[i, c] <= -big / 2:
-                    return None, ()
-                total += w[i, c] - big
-            elif w[i, c] > 0.0:
-                total += w[i, c]
-            else:
-                continue
-            if with_pairs:
-                pairs.append(by_pair[i, cols[c][1]])
-        return total, tuple(pairs)
+        w = np.empty((self.s_raw.shape[0], len(cols)))
+        for c, (st, j) in enumerate(cols):
+            w[:, c] = (self.optional_edge, self.required_edge)[st][:, j]
+        total, ri, ci = self._relax(w, self.status.count(1))
+        if total is None or not with_pairs:
+            return total, ()
+        keep = w[ri, ci] > 0.0
+        js = np.array([j for _, j in cols])
+        return total, tuple(self.by_pair[ri[keep], js[ci[keep]]])
 
+    def run(self, open_node, visit):
+        """Walk the rider subsets depth first.
+
+        open_node(k, n_in, cur_p) is a node's zeta test, before it counts.
+        After _LAGRANGE_AFTER counted nodes the search holds a _FloorBound,
+        and each node a Lagrangian matching `held`: its parent's when that
+        still fits (served riders stay in, unserved ones out), else one
+        solve, and no matching prunes the node. visit(k, cur_p, held, fresh)
+        then runs the node's floor tests and, at k == len(riders), its leaf;
+        it returns False to prune.
+        """
+        n_d, n = self.s_raw.shape[0], len(self.riders)
+        status, r_idx = self.status, self.r_idx
+
+        def recurse(k, n_in, cur_p, held):
+            if not open_node(k, n_in, cur_p):
+                return
+            self.nodes += 1
+            if self.nodes > _LAGRANGE_AFTER and self.lag is None:
+                self.lag = _FloorBound(self.s_raw, self.has_edge, self.r_index,
+                                       self.zr, self.floor_lam())
+            fresh = self.lag is not None and held is None
+            if fresh:
+                held = self.lag([j for j, st in zip(r_idx, status) if st == 1],
+                                r_idx[k:])
+                if held is None:
+                    return
+            if not visit(k, cur_p, held, fresh) or k == n:
+                return
+            served = held is not None and r_idx[k] in held.served
+            if n_in < n_d:
+                status[k] = 1
+                recurse(k + 1, n_in + 1, cur_p + self.zeta[k],
+                        held if served else None)
+            status[k] = 2
+            recurse(k + 1, n_in, cur_p, None if served else held)
+            status[k] = 0
+
+        recurse(0, 0, 0.0, None)
+
+    def best_for_set(self, cols: list, best_key, best_chosen):
+        """Tie-break-optimal matching covering exactly the given rider
+        columns, if _better ranks it above best_key.
+
+        With the matched rider set fixed, the required-assignment relaxation
+        is a tight welfare bound, so the search only walks the genuine
+        welfare/travel-time tie region.
+        """
+        free_d = np.ones(self.s_raw.shape[0], dtype=bool)
+        chosen: list[CandidateEdge] = []
+        col_arr = np.asarray(cols, dtype=int)
+
+        def rest_bound(k):
+            sub_cols = col_arr[k:]
+            if sub_cols.size == 0:
+                return 0.0
+            rows = np.flatnonzero(free_d)
+            if rows.size < sub_cols.size:
+                return None
+            return self._relax(self.required_edge[rows[:, None], sub_cols],
+                               sub_cols.size)[0]
+
+        def recurse(k, cur_v, cur_t):
+            nonlocal best_key, best_chosen
+            rest = rest_bound(k)
+            if rest is None:
+                return
+            ub_v = cur_v + rest
+            if ub_v < -_TOL:
+                return
+            if ub_v < best_key[1] - _PRUNE_TOL:
+                return
+            if (ub_v <= best_key[1] + _PRUNE_TOL
+                    and cur_t > best_key[2] + _PRUNE_TOL):
+                return
+            if k == len(cols):
+                key = _solution_key(tuple(chosen), "zeta")
+                if _better(key, best_key):
+                    best_key, best_chosen = key, tuple(chosen)
+                return
+            j = cols[k]
+            for i in np.flatnonzero(self.has_edge[:, j]):
+                if not free_d[i]:
+                    continue
+                e = self.by_pair[i, j]
+                free_d[i] = False
+                chosen.append(e)
+                recurse(k + 1, cur_v + e.sigma, cur_t + e.tau)
+                chosen.pop()
+                free_d[i] = True
+
+        recurse(0, 0.0, 0.0)
+        return best_key, best_chosen
+
+
+def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
+                            target=math.inf):
+    """Pass 1 of the sensing program: the best sensing total, and a matching
+    attaining it, over the matchings that meet the welfare floor.
+
+    A removal search passes a rider set known to be good as `incumbent`
+    (tried first and kept only if it meets the floor) and the full market's
+    optimum as `target`; the search ends once its best value reaches
+    target - _PRUNE_TOL. Its Lagrangian tests prune only where the zeta
+    bound would let no leaf beat best_p either, so the full solve returns
+    the same matching; a removal search, which needs only the value, also
+    takes a node's Lagrangian matching as its incumbent when that matching
+    meets the floor.
+    """
+    s = search
     best_p = 0.0
     best_chosen: tuple[CandidateEdge, ...] = ()
     if incumbent:
-        # The leaf test of recurse, on the incumbent's rider set.
-        status = [1 if r in incumbent else 2 for r in riders]
-        sig, pairs = relaxed_sigma(status, with_pairs=True)
+        # The leaf test of visit, on the incumbent's rider set.
+        s.status[:] = [1 if r in incumbent else 2 for r in s.riders]
+        sig, pairs = s.relaxed_sigma(with_pairs=True)
         cur_p = 0.0
-        for r, st in zip(riders, status):
+        for z, st in zip(s.zeta, s.status):
             if st == 1:
-                cur_p += zr[r]
+                cur_p += z
         if sig is not None and sig >= -_TOL and cur_p > best_p:
             best_p, best_chosen = cur_p, pairs
-    status = [0] * len(riders)
+        s.status[:] = [0] * len(s.status)
     stop = target - _PRUNE_TOL
-    nodes = 0
-    lag = None
 
-    def recurse(k, n_in, cur_p, held):
-        # `held` is the parent's _Relaxed when its matching also fits here,
-        # so this node's Lagrangian bound is the same and costs no LSA.
-        nonlocal best_p, best_chosen, nodes, lag
-        if best_p >= stop:
-            return
-        cap = n_d - n_in
-        remaining = len(riders) - k
-        take = min(cap, remaining)
-        # riders are sorted by descending zeta, so the top `take` of the
-        # suffix is its prefix
-        ub = cur_p + (suffix[k] - suffix[k + take])
-        if ub <= best_p + _PRUNE_TOL:
-            return
-        nodes += 1
-        if nodes > _LAGRANGE_AFTER and lag is None and floor_lam is not None:
-            lag = _FloorBound(s_raw, has_edge, r_index, zr, floor_lam())
-        if lag is not None:
-            if held is None:
-                held = lag(_forced_cols(status, r_idx, k), r_idx[k:])
-                if held is None:
-                    return
-                if target < math.inf and held.sigma >= -_TOL:
-                    pairs = tuple(by_pair[held.rows, held.cols])
-                    p_held = _canonical_sum(pairs, "zeta")
-                    if p_held > best_p:
-                        best_p, best_chosen = p_held, pairs
-                        if best_p >= stop:
-                            return
-            if held.value + lag.slack <= best_p + _PRUNE_TOL:
-                return
-        leaf = k == len(riders)
+    def open_node(k, n_in, cur_p):
+        return (best_p < stop
+                and s.zeta_bound(k, n_in, cur_p) > best_p + _PRUNE_TOL)
+
+    def visit(k, cur_p, held, fresh):
+        nonlocal best_p, best_chosen
+        if held is not None:
+            if fresh and target < math.inf and held.sigma >= -_TOL:
+                pairs = tuple(s.by_pair[held.rows, held.cols])
+                p_held = _canonical_sum(pairs, "zeta")
+                if p_held > best_p:
+                    best_p, best_chosen = p_held, pairs
+                    if best_p >= stop:
+                        return False
+            if held.value + s.lag.slack <= best_p + _PRUNE_TOL:
+                return False
+        leaf = k == len(s.riders)
         # A held matching with welfare >= _FLOOR_SLACK passes this test for
         # sure, so an inner node need not run it.
         if leaf or held is None or held.sigma < _FLOOR_SLACK:
-            sig, pairs = relaxed_sigma(status, with_pairs=leaf)
+            sig, pairs = s.relaxed_sigma(with_pairs=leaf)
             if sig is None or sig < -_TOL:
-                return
-        if leaf:
-            # All riders decided; `pairs` matches exactly the 'in' riders
-            # plus welfare-positive optional edges of none (no undecided).
-            if cur_p > best_p:
-                best_p, best_chosen = cur_p, pairs
-            return
-        served = held is not None and r_idx[k] in held.served
-        if n_in < n_d:
-            status[k] = 1
-            recurse(k + 1, n_in + 1, cur_p + zr[riders[k]],
-                    held if served else None)
-        status[k] = 2
-        recurse(k + 1, n_in, cur_p, None if served else held)
-        status[k] = 0
+                return False
+        if leaf and cur_p > best_p:
+            # No rider is undecided, so `pairs` serves exactly the 'in' ones.
+            best_p, best_chosen = cur_p, pairs
+        return True
 
-    recurse(0, 0, 0.0, None)
+    s.run(open_node, visit)
     return _canonical_sum(best_chosen, "zeta"), best_chosen
-
-
-def _optimal_riders(inst: _Instance):
-    """Pass 1 of the sensing program on a whole _Instance."""
-    return _optimal_primary_riders(inst.s_raw, inst.has_edge, inst.by_pair,
-                                   inst.r_index, inst.zr,
-                                   floor_lam=inst.floor_multiplier)
-
-
-def _best_for_set(inst: _Instance, cols: list, best_key, best_chosen):
-    """Tie-break-optimal matching covering exactly the given rider columns.
-
-    With the matched rider set fixed, the required-assignment relaxation is
-    a tight welfare bound, so the remaining search only walks the genuine
-    welfare/travel-time tie region.
-    """
-    n_d = len(inst.d_index)
-    big = 1000.0 * (1.0 + float(np.abs(inst.s_raw).sum()))
-    free_d = np.ones(n_d, dtype=bool)
-    chosen: list[CandidateEdge] = []
-    col_arr = np.asarray(cols, dtype=int)
-
-    def rest_bound(k):
-        sub_cols = col_arr[k:]
-        if sub_cols.size == 0:
-            return 0.0
-        rows = np.flatnonzero(free_d)
-        if rows.size < sub_cols.size:
-            return None
-        w = np.where(inst.has_edge[rows[:, None], sub_cols],
-                     inst.s_raw[rows[:, None], sub_cols] + big, -big)
-        ri, ci = linear_sum_assignment(w, maximize=True)
-        total = float(w[ri, ci].sum())
-        if total < (sub_cols.size - 0.5) * big:
-            return None
-        return total - sub_cols.size * big
-
-    def recurse(k, cur_v, cur_t):
-        nonlocal best_key, best_chosen
-        rest = rest_bound(k)
-        if rest is None:
-            return
-        ub_v = cur_v + rest
-        if ub_v < -_TOL:
-            return
-        if ub_v < best_key[1] - _PRUNE_TOL:
-            return
-        if ub_v <= best_key[1] + _PRUNE_TOL and cur_t > best_key[2] + _PRUNE_TOL:
-            return
-        if k == len(cols):
-            key = _solution_key(tuple(chosen), "zeta")
-            if _better(key, best_key):
-                best_key, best_chosen = key, tuple(chosen)
-            return
-        j = cols[k]
-        for i in np.flatnonzero(inst.has_edge[:, j]):
-            if not free_d[i]:
-                continue
-            e = inst.by_pair[i, j]
-            free_d[i] = False
-            chosen.append(e)
-            recurse(k + 1, cur_v + e.sigma, cur_t + e.tau)
-            chosen.pop()
-            free_d[i] = True
-
-    recurse(0, 0.0, 0.0)
-    return best_key, best_chosen
 
 
 def _pass2_riders(inst: _Instance, p_star: float, seed):
     """Pass 2 of the sensing program: the tie-break-optimal matching among
     those with sensing total p_star that meet the floor.
 
-    Pass 1's `seed` is the only incumbent. The sensing total depends only on
-    which riders are matched, so the search enumerates rider subsets
-    attaining the optimum (relaxed required assignments pruning infeasible
-    or lower-welfare branches) and tie-breaks each candidate set with
-    _best_for_set.
-
-    After _LAGRANGE_AFTER nodes it also prunes with _FloorBound at the
-    index's floor_multiplier: a leaf this search tie-breaks holds zeta of at
-    least p_star and, if it can still win, welfare of at least the best
-    key's, so a subtree whose bound falls below p_star + lam * that welfare
-    (less the slack) holds none. The leaves visited, and their order, are
-    those of the search without the bound.
+    Pass 1's `seed` is the only incumbent. The search walks the rider sets
+    that can still attain p_star, prunes those whose welfare relaxation
+    fails the floor or falls below the best key's welfare, and tie-breaks
+    each leaf's set with best_for_set. Its Lagrangian test: a leaf it
+    tie-breaks holds zeta of at least p_star and, if it can still win,
+    welfare of at least the best key's, so a subtree whose bound falls below
+    p_star + lam * that welfare (less the slack) holds none. The leaves
+    visited, and their order, are those of the search without the bound.
     """
     if p_star <= _PRUNE_TOL and not seed:
         # zeta is never negative, so every optimal matching serves only
@@ -897,83 +908,30 @@ def _pass2_riders(inst: _Instance, p_star: float, seed):
         zero = [e for e in inst.edges if inst.zr[e.rider] == 0.0]
         return solve_welfare_max(MatchingProblem(
             zero, tuple(inst.d_index), tuple(inst.r_index))).chosen
+    s = _RiderSearch(inst)
     best_key, best_chosen = _solution_key(seed, "zeta"), seed
-    n_d = len(inst.d_index)
-    zr = inst.zr
-    riders = sorted(zr, key=lambda r: (-zr[r], r))
-    r_idx = [inst.r_index[r] for r in riders]
-    suffix = np.zeros(len(riders) + 1)
-    for k in range(len(riders) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + max(zr[riders[k]], 0.0)
-    big = 1000.0 * (1.0 + float(np.abs(inst.s_raw).sum()))
-    required_edge = np.where(inst.has_edge, inst.s_raw + big, -big)
-    optional_edge = np.where(inst.has_edge, np.maximum(inst.s_raw, 0.0), 0.0)
-    status = [0] * len(riders)
 
-    def relaxed_sigma(k):
-        cols = [(m, j) for m, j in enumerate(r_idx) if status[m] != 2]
-        if not cols:
-            return 0.0
-        w = np.empty((n_d, len(cols)))
-        n_req = 0
-        for c, (m, j) in enumerate(cols):
-            if status[m] == 1:
-                w[:, c] = required_edge[:, j]
-                n_req += 1
-            else:
-                w[:, c] = optional_edge[:, j]
-        ri, ci = linear_sum_assignment(w, maximize=True)
-        total = float(w[ri, ci].sum())
-        # A required column left unmatched or matched on a missing edge
-        # shows up as a missing +big term: the relaxation is infeasible.
-        if total < n_req * big - big / 2:
-            return None
-        return total - n_req * big
+    def open_node(k, n_in, cur_p):
+        return s.zeta_bound(k, n_in, cur_p) >= p_star - _PRUNE_TOL
 
-    nodes = 0
-    lag = None
-
-    def recurse(k, n_in, cur_p, held):
-        # `held` is inherited as in _optimal_primary_riders.
-        nonlocal best_key, best_chosen, nodes, lag
-        take = min(n_d - n_in, len(riders) - k)
-        if cur_p + (suffix[k] - suffix[k + take]) < p_star - _PRUNE_TOL:
-            return
-        nodes += 1
-        if nodes > _LAGRANGE_AFTER and lag is None:
-            lag = _FloorBound(inst.s_raw, inst.has_edge, inst.r_index, zr,
-                              inst.floor_multiplier())
-        if lag is not None:
-            if held is None:
-                held = lag(_forced_cols(status, r_idx, k), r_idx[k:])
-                if held is None:
-                    return
-            if (held.value + lag.slack
-                    < p_star - _TOL + lag.lam * best_key[1]):
-                return
-        # As in _optimal_primary_riders, a held matching with enough welfare
-        # passes both welfare tests for sure.
+    def visit(k, cur_p, held, fresh):
+        nonlocal best_key, best_chosen
+        if held is not None and (held.value + s.lag.slack
+                                 < p_star - _TOL + s.lag.lam * best_key[1]):
+            return False
+        # As in pass 1, a held matching with enough welfare passes both
+        # welfare tests for sure.
         if held is None or held.sigma < max(best_key[1], 0.0) + _FLOOR_SLACK:
-            sig = relaxed_sigma(k)
-            if sig is None or sig < -_TOL:
-                return
-            if sig < best_key[1] - _PRUNE_TOL:
-                return
-        if k == len(riders):
-            cols = [r_idx[m] for m in range(len(riders)) if status[m] == 1]
-            best_key, best_chosen = _best_for_set(inst, sorted(cols),
-                                                  best_key, best_chosen)
-            return
-        served = held is not None and r_idx[k] in held.served
-        if n_in < n_d:
-            status[k] = 1
-            recurse(k + 1, n_in + 1, cur_p + zr[riders[k]],
-                    held if served else None)
-        status[k] = 2
-        recurse(k + 1, n_in, cur_p, None if served else held)
-        status[k] = 0
+            sig, _ = s.relaxed_sigma()
+            if sig is None or sig < -_TOL or sig < best_key[1] - _PRUNE_TOL:
+                return False
+        if k == len(s.riders):
+            cols = [j for j, st in zip(s.r_idx, s.status) if st == 1]
+            best_key, best_chosen = s.best_for_set(sorted(cols), best_key,
+                                                   best_chosen)
+        return True
 
-    recurse(0, 0, 0.0, None)
+    s.run(open_node, visit)
     return best_chosen
 
 

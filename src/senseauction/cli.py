@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=cmd_compare)
 
     check = sub.add_parser("check", help="randomized property suite")
-    _common_flags(check)
+    check.add_argument("--out", default="out", help="output directory")
     check.add_argument("--trials", type=int, default=200)
     check.add_argument("--max-drivers", type=int, default=6)
     check.add_argument("--max-riders", type=int, default=6)
@@ -211,6 +211,8 @@ def cmd_check(args) -> int:
         raise ConfigurationError("max-drivers and max-riders must be at least 1")
     if max(args.max_drivers, args.max_riders) > 8:
         raise ConfigurationError("exactness oracle is limited to 8x8 instances")
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {args.seed}")
     out = Path(args.out)
     try:
         counts = run_property_suite(args.trials, args.max_drivers,

@@ -195,10 +195,13 @@ def test_check_rejects_bad_arguments(tmp_path):
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert main(["check", "--trials", "5", "--max-drivers", "9",
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert main(["check", "--floor", "off",
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("flag, value", [("--max-drivers", "0"),
-                                         ("--max-riders", "-2")])
+                                         ("--max-riders", "-2"),
+                                         ("--seed", "-1")])
 def test_check_rejects_sizes_below_one(tmp_path, capsys, flag, value):
     rc = main(["check", "--trials", "5", flag, value,
                "--out", str(tmp_path / "out")])

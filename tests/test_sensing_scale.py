@@ -328,12 +328,15 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
     bound is the best sum(zeta + lam * sigma) over matchings that serve
     every forced rider and no excluded one, so it is at least the best such
     matching that meets the floor; it is None exactly when no matching
-    serves the forced riders."""
+    serves the forced riders. For the same statuses the search's big-M
+    relaxation is the best welfare over those matchings, None exactly when
+    there is none, and its pairs are such a matching."""
     rng = np.random.default_rng(7)
-    checked = infeasible = 0
+    checked = infeasible = decided = relaxed_infeasible = 0
     for seed in range(40):
         problem = tiny_market(seed)
         inst = asg.settle_index(problem)
+        search = asg._RiderSearch(inst)
         big = 1000.0
         for lam in (0.0, 0.05, inst.floor_multiplier(), 1.0, 4.0):
             bound = asg._FloorBound(inst.s_raw, inst.has_edge, inst.r_index,
@@ -345,7 +348,7 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
                             [inst.r_index[r] for r in status
                              if status[r] == 0])
 
-                def best(value, floor):
+                def best(value, floor, status=status):
                     # Forced riders carry a bonus no other choice outweighs.
                     edges = [dataclasses.replace(
                         e, zeta=value(e) + big * (status[e.rider] == 1))
@@ -357,6 +360,27 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
                     served = {r for _, r in pairs}
                     return (v - big * len(forced)
                             if served >= set(forced) else None)
+
+                # The status as drawn, then with every undecided rider out.
+                for view in (status, {r: v or 2 for r, v in status.items()}):
+                    search.status = [view[r] for r in search.riders]
+                    sig, pairs = search.relaxed_sigma(with_pairs=True)
+                    welfare = best(lambda e: e.sigma, False, view)
+                    if welfare is None:
+                        assert sig is None
+                        relaxed_infeasible += 1
+                        continue
+                    assert sig == pytest.approx(welfare, abs=1e-9)
+                    served = [e.rider for e in pairs]
+                    assert len({e.driver for e in pairs}) == len(pairs)
+                    assert len(set(served)) == len(served)
+                    assert set(forced) <= set(served)
+                    assert all(view[r] != 2 for r in served)
+                    assert math.fsum(e.sigma for e in pairs) == pytest.approx(
+                        sig, abs=1e-9)
+                    if 0 not in view.values():
+                        assert set(served) == set(forced)
+                        decided += 1
 
                 lagrangian = best(lambda e: e.zeta + lam * e.sigma, False)
                 if lagrangian is None:
@@ -377,6 +401,8 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
                     assert got.value + lam * 1e-9 >= floor_best - 1e-9
                 checked += 1
     assert checked > 500 and infeasible > 20, (checked, infeasible)
+    assert decided > 500 and relaxed_infeasible > 20, (decided,
+                                                       relaxed_infeasible)
 
 
 def test_floor_multiplier_minimises_the_root_bound():

@@ -209,6 +209,34 @@ def test_batched_vcg_marginals_equal_per_removal_solves(markets):
     assert ties > 0
 
 
+def test_tie_settle_solves_each_removal_once(markets, monkeypatch):
+    """A tie's face asks for the LSA pick's driver removals and pricing for
+    every matched participant's; a settle runs one LSA per distinct removal,
+    so it costs the solve's LSAs plus one per removal the face did not ask
+    for."""
+    calls = []
+    lsa = asg.linear_sum_assignment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lsa(*args, **kwargs)
+
+    monkeypatch.setattr(asg, "linear_sum_assignment", counted)
+    shared = 0
+    for problem in filter(is_tie, markets):
+        m = asg._welfare_index(problem.edges)
+        face = {e.driver for e in asg._lsa_pick(m.s_raw, m.by_pair)[1]}
+        del calls[:]
+        solution = asg.solve_welfare_max(problem)
+        solve_calls = len(calls)
+        del calls[:]
+        settle_epoch(VCG, problem, RATES)
+        priced = set(solution.matched_drivers + solution.matched_riders)
+        assert len(calls) == solve_calls + len(priced - face)
+        shared += bool(priced & face)
+    assert shared > 0
+
+
 def test_batched_marginals_reject_unknown_participant():
     problem = random_market(0, 4, 4, False)
     with pytest.raises(ContractError):
