@@ -9,13 +9,11 @@ lower total pick-up distance, then lexicographic edge list).
 Which path runs:
 
 - Welfare: one linear_sum_assignment (LSA) on max(sigma, 0) over the edges
-  with sigma >= 0, returned in driver id order when _certified_welfare_pick
-  proves that no other matching comes within 1e-9 of it. Otherwise (an
-  exact tie, common when co-located drivers have identical welfare and
-  pick-up distance) _welfare_tie_break runs an edge branch-and-bound from
-  that pick over the welfare face (_welfare_face). chosen is the winner's
-  order, observable in the event log: driver id for the pick, (-sigma, tau,
-  pair) for a branch-and-bound leaf.
+  with sigma >= 0 gives the optimum and a pick, the only incumbent of
+  _welfare_tie_break: an edge branch-and-bound over the welfare face
+  (_welfare_face), bounded by the face's duals (_FaceBound) with no LSA.
+  chosen is the winner's order, observable in the event log: driver id for
+  the pick, (-sigma, tau, pair) for a branch-and-bound leaf.
 - One index per settle (settle_index): an _Instance over the sigma >= 0
   edges (welfare) or all edges (sensing), shared by the solve and all
   removals.
@@ -208,14 +206,12 @@ def solve_welfare_max(problem: MatchingProblem,
                       index: _Instance | None = None) -> MatchingSolution:
     """Exact welfare-maximizing matching; negative-welfare edges never help.
 
-    One assignment solve settles a market whose optimum is certified unique
-    (see _certified_welfare_pick); a tie goes to _welfare_tie_break, from
-    that solve's pick. `index` is the settle_index, built when not given.
+    One assignment solve gives the optimum and a pick, and
+    _welfare_tie_break searches the welfare face from it. `index` is the
+    settle_index, built when not given.
     """
     m = _welfare_index(problem.edges) if index is None else index
-    chosen, certified = _certified_welfare_pick(m)
-    if not certified:
-        chosen = _welfare_tie_break(problem, m, chosen)
+    chosen = _welfare_tie_break(problem, m, _lsa_pick(m.s_raw, m.by_pair)[1])
     value = _canonical_sum(chosen, "sigma")
     return MatchingSolution(chosen=chosen, objective_value=value,
                             welfare_total=value)
@@ -317,7 +313,7 @@ def welfare_marginals(problem: MatchingProblem, participants,
     shared by all removals. Each removal drops rows and columns as
     _removals says, so the assignment solve sees the same matrix that a
     rebuilt reduced problem would index, and picks the same matching. Its
-    value is kept in the index's `removed`, so a removal that a welfare tie
+    value is kept in the index's `removed`, so a removal that the welfare
     face and the settle's pricing both ask for is solved once.
     """
     m = _welfare_index(problem.edges) if index is None else index
@@ -359,74 +355,37 @@ def _welfare_index(edges) -> _Instance:
 
 def _lsa_pick(w: np.ndarray, by_pair: np.ndarray) -> tuple[float, tuple]:
     """One LSA optimum of w: its value and its positive-weight edges, in row
-    order. by_pair holds the edge at each cell of w."""
+    order, with no solve when w is empty. by_pair holds the edge at each
+    cell of w."""
+    if not w.size:
+        return 0.0, ()
     ri, ci = linear_sum_assignment(w, maximize=True)
     keep = w[ri, ci] > 0.0
     return float(w[ri, ci].sum()), tuple(by_pair[ri[keep], ci[keep]])
-
-
-def _certified_welfare_pick(m: _Instance) -> tuple[tuple, bool]:
-    """The LSA welfare optimum of the welfare index m, and whether no other
-    matching comes within _TOL of it.
-
-    Certificate: zeroing any chosen edge's weight costs the optimum more than
-    _TOL, and no edge joins a driver and a rider both left unmatched. A
-    matching that drops a chosen edge is then worse by more than _TOL, and
-    one that keeps them all cannot add an edge. The tie-break compares
-    totals within _PRUNE_TOL < _TOL, so it would pick this same edge set, in
-    the same (driver id) order.
-    """
-    if not m.edges:
-        return (), True
-    w = m.s_raw
-    value, chosen = _lsa_pick(w, m.by_pair)
-    rows = [m.d_index[e.driver] for e in chosen]
-    cols = [m.r_index[e.rider] for e in chosen]
-    if np.delete(np.delete(m.has_edge, rows, 0), cols, 1).any():
-        return chosen, False
-    for i, j in zip(rows, cols):
-        weight, w[i, j] = w[i, j], 0.0
-        without = _lsa_pick(w, m.by_pair)[0]
-        w[i, j] = weight
-        if value - without <= _TOL:
-            return chosen, False
-    return chosen, True
 
 
 def _welfare_tie_break(problem: MatchingProblem, m: _Instance,
                        pick) -> tuple[CandidateEdge, ...]:
     """Tie-break-optimal maximum-welfare matching of the welfare index m.
 
-    `pick`, the certificate's LSA pick, is the incumbent, and its total the
-    optimum p*. An edge branch-and-bound over _welfare_face, bounded by one
-    memoised LSA per set of free vertices, takes a leaf only when _better
-    ranks it above the incumbent. chosen keeps the winner's order.
+    `pick`, one LSA optimum in driver id order, is the only incumbent, and
+    its total the optimum p*. An edge branch-and-bound over _welfare_face,
+    bounded by _FaceBound, takes a leaf only when _better ranks it above the
+    incumbent. chosen keeps the winner's order.
     """
     p_star = _canonical_sum(pick, "sigma")
     best_key, best_chosen = _solution_key(pick, "sigma"), pick
-    edge_list, weights, _, _ = _welfare_face(problem, m, pick)
-    n_edges = len(edge_list)
-    free_d, free_r = (np.ones(n, dtype=bool) for n in m.s_raw.shape)
+    face, u, v = _welfare_face(problem, m, pick)
+    bound = _FaceBound(m, face, u, v)
+    ends, n_edges = bound.ends, len(face)
+    free_d, free_r = ([True] * n for n in m.s_raw.shape)
     stack: list[CandidateEdge] = []
-    memo: dict = {}
-
-    def bound():
-        # Max-weight matching value over the still-free vertices.
-        key = free_d.tobytes(), free_r.tobytes()
-        if key not in memo:
-            sub = weights[np.ix_(free_d, free_r)]
-            value = 0.0
-            if sub.size and sub.max() > 0.0:
-                ri, ci = linear_sum_assignment(sub, maximize=True)
-                value = float(sub[ri, ci].sum())
-            memo[key] = value
-        return memo[key]
 
     def recurse(idx, cur_v, cur_t):
         nonlocal best_key, best_chosen
         while idx < n_edges:
-            e = edge_list[idx]
-            if free_d[m.d_index[e.driver]] and free_r[m.r_index[e.rider]]:
+            i, j = ends[idx]
+            if free_d[i] and free_r[j]:
                 break
             idx += 1
         if idx == n_edges:
@@ -436,13 +395,12 @@ def _welfare_tie_break(problem: MatchingProblem, m: _Instance,
             if _better(key, best_key):
                 best_key, best_chosen = key, tuple(stack)
             return
-        ub_v = cur_v + bound()
+        ub_v = cur_v + bound(free_d, free_r, idx)
         if ub_v < best_key[1] - _PRUNE_TOL:
             return
         if ub_v <= best_key[1] + _PRUNE_TOL and cur_t > best_key[2] + _PRUNE_TOL:
             return
-        e = edge_list[idx]
-        i, j = m.d_index[e.driver], m.r_index[e.rider]
+        e = face[idx]
         free_d[i] = free_r[j] = False
         stack.append(e)
         recurse(idx + 1, cur_v + e.sigma, cur_t + e.tau)
@@ -456,8 +414,7 @@ def _welfare_tie_break(problem: MatchingProblem, m: _Instance,
 
 def _welfare_face(problem: MatchingProblem, m: _Instance, pick):
     """The sigma > 0 edges of m with reduced cost <= 1e-6, in (-sigma, tau,
-    pair) order, the welfare weights masked to them, and the duals u (rows)
-    and v (columns) that price them.
+    pair) order, and the duals u (rows) and v (columns) that price them.
 
     Each driver of the LSA pick earns its marginal contribution V - V_-d
     (welfare_marginals), its rider the rest of the edge, every other vertex
@@ -474,7 +431,30 @@ def _welfare_face(problem: MatchingProblem, m: _Instance, pick):
         v[j] = e.sigma - u[i]
     keep = (m.s_raw > 0.0) & (u[:, None] + v[None, :] - m.s_raw <= 1e-6)
     face = sorted(m.by_pair[keep], key=lambda e: (-e.sigma, e.tau, e.pair))
-    return face, np.where(keep, m.s_raw, 0.0), u, v
+    return face, u, v
+
+
+class _FaceBound:
+    """What the undecided face edges (index >= idx, both ends free) can still
+    add at a node of _welfare_tie_break. By weak duality a matching of k of
+    them adds at most max(u, 0) and max(v, 0) summed over the vertices they
+    can join, plus k times the face's most negative reduced cost, which
+    rounding leaves; math.fsum adds no rounding of its own."""
+
+    def __init__(self, m: _Instance, face, u, v):
+        self.ends = [(m.d_index[e.driver], m.r_index[e.rider]) for e in face]
+        self.u, self.v = np.maximum(u, 0.0).tolist(), np.maximum(v, 0.0).tolist()
+        self.slack = max([0.0] + [-math.fsum((u[i], v[j], -e.sigma))
+                                  for (i, j), e in zip(self.ends, face)])
+
+    def __call__(self, free_d, free_r, idx) -> float:
+        rows, cols = set(), set()
+        for i, j in self.ends[idx:]:
+            if free_d[i] and free_r[j]:
+                rows.add(i)
+                cols.add(j)
+        return math.fsum([self.u[i] for i in rows] + [self.v[j] for j in cols]
+                         + [self.slack] * min(len(rows), len(cols)))
 
 
 def _canonical_sum(chosen, attr: str) -> float:

@@ -109,10 +109,15 @@ def check_exactness(inst: RandomInstance) -> None:
     """Solver objectives must equal exhaustive enumeration (AE)."""
     wp = inst.problem("welfare")
     ws = solve_welfare_max(wp)
-    w_val, _, _ = brute_force_solve(wp, "welfare")
+    w_val, _, w_pairs = brute_force_solve(wp, "welfare")
     if abs(ws.objective_value - w_val) > TOL:
         raise PropertyViolation("AE-welfare",
                                 f"solver {ws.objective_value} != oracle {w_val}",
+                                inst.replay_doc())
+    got = sorted(e.pair for e in ws.chosen)
+    if got != list(w_pairs):
+        raise PropertyViolation("AE-welfare-pairs",
+                                f"solver {got} != oracle {list(w_pairs)}",
                                 inst.replay_doc())
     w_unfiltered, _, _ = brute_force_solve(wp, "welfare", drop_negative=False)
     if abs(w_val - w_unfiltered) > TOL:

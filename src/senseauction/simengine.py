@@ -87,7 +87,9 @@ class ScenarioConfig:
             raise ConfigurationError("bid_low must not exceed bid_high")
         for name in ("overreport_fraction", "remote_frac"):
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
+            if name == "remote_frac" and value is None:
+                continue    # the only optional fraction
+            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
                 raise ConfigurationError(f"{name} must be in [0, 1]")
         if self.demand_scenario not in REMOTE_FRACS and self.remote_frac is None:
             raise ConfigurationError(

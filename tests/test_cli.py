@@ -48,6 +48,7 @@ def test_malformed_config_is_usage_error(tmp_path):
     {"sensing_exponent": 1.5},
     {"world": {"rows": 2, "cols": 2, "densities": [1, 1, 1]}},
     {"floor_enabled": "off"},        # a non-empty string is truthy
+    {"overreport_fraction": None},   # only remote_frac may be null
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, fields):
     bad = tmp_path / "bad.json"

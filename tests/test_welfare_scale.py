@@ -1,12 +1,14 @@
-"""Welfare program at simulator sizes: the certified assignment solve and the
-batched VCG removal marginals against the exact search they replace.
+"""Welfare program at simulator sizes: the face search from one assignment
+solve, and the batched VCG removal marginals against per-removal solves.
 
-Brute force stops at 8x8, so most checks compare against the exact tie-break
-search and per-removal solves instead: on seeded markets from 10x10 up to the
-largest market of a default-scale run (59x31), with and without co-located
-drivers. Co-located markets of at most 8x8 are also checked against brute
-force.
+Brute force stops at 8x8, so most checks compare against the LSA optimum, a
+reference uniqueness check and per-removal solves instead: on seeded markets
+from 10x10 up to the largest market of a default-scale run (59x31), with and
+without co-located drivers. Co-located markets of at most 8x8 are also
+checked against brute force.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -102,29 +104,44 @@ def lsa_welfare(problem):
 
 
 def is_tie(problem):
-    return not asg._certified_welfare_pick(
-        asg._welfare_index(problem.edges))[1]
-
-
-def tie_break(problem):
-    """The tie-break search on the welfare index, from its LSA pick."""
+    """Reference uniqueness check: False when the LSA pick is provably the
+    only matching within 1e-9 of the optimum, because zeroing any picked
+    edge's weight costs the optimum more than 1e-9 and no edge joins a
+    driver and a rider that the pick leaves unmatched."""
     m = asg._welfare_index(problem.edges)
-    return asg._welfare_tie_break(problem, m,
-                                  asg._lsa_pick(m.s_raw, m.by_pair)[1])
+    w = m.s_raw.copy()
+    value, pick = asg._lsa_pick(w, m.by_pair)
+    rows = [m.d_index[e.driver] for e in pick]
+    cols = [m.r_index[e.rider] for e in pick]
+    if np.delete(np.delete(m.has_edge, rows, 0), cols, 1).any():
+        return True
+    for i, j in zip(rows, cols):
+        weight, w[i, j] = w[i, j], 0.0
+        without = asg._lsa_pick(w, m.by_pair)[0]
+        w[i, j] = weight
+        if value - without <= 1e-9:
+            return True
+    return False
 
 
 def test_welfare_max_equals_exact_search_at_scale(markets):
-    """The certified pick is what the tie-break search returns, edges and
-    order, and the solve's value is the LSA optimum."""
-    paths = {"certified": 0, "tie": 0}
+    """On a market the reference proves unique, the solve returns exactly
+    the LSA pick, in driver id order; on every market its value is the LSA
+    optimum."""
+    paths = {"unique": 0, "tie": 0}
     for problem in markets:
-        paths["tie" if is_tie(problem) else "certified"] += 1
         got = asg.solve_welfare_max(problem)
-        want = tie_break(problem)
-        assert got.chosen == want            # same edges, same order
         assert got.objective_value == pytest.approx(lsa_welfare(problem),
                                                     abs=1e-9, rel=0)
-    assert paths["certified"] > 0 and paths["tie"] > 0, paths
+        if is_tie(problem):
+            paths["tie"] += 1
+            continue
+        paths["unique"] += 1
+        m = asg._welfare_index(problem.edges)
+        pick = asg._lsa_pick(m.s_raw, m.by_pair)[1]
+        assert got.chosen == pick            # same edges, same order
+        assert list(pick) == sorted(pick, key=lambda e: e.driver)
+    assert paths["unique"] > 0 and paths["tie"] > 0, paths
 
 
 def test_welfare_face_is_cut_by_an_optimal_dual(markets):
@@ -137,8 +154,8 @@ def test_welfare_face_is_cut_by_an_optimal_dual(markets):
     for problem in filter(is_tie, markets):
         ties += 1
         m = asg._welfare_index(problem.edges)
-        pick = asg._certified_welfare_pick(m)[0]
-        face, _, u, v = asg._welfare_face(problem, m, pick)
+        pick = asg._lsa_pick(m.s_raw, m.by_pair)[1]
+        face, u, v = asg._welfare_face(problem, m, pick)
         assert u.min(initial=0.0) >= -1e-9 and v.min(initial=0.0) >= -1e-9
         reduced = u[:, None] + v[None, :] - m.s_raw
         assert reduced[m.has_edge].min() >= -1e-9
@@ -148,6 +165,78 @@ def test_welfare_face_is_cut_by_an_optimal_dual(markets):
         assert u.sum() + v.sum() == pytest.approx(
             asg._canonical_sum(pick, "sigma"), abs=1e-9, rel=0)
     assert ties > 0
+
+
+def best_open_matching(face, ends, free_d, free_r, idx):
+    """Brute force: the best total sigma, summed exactly, of a matching of
+    the face edges from index idx on whose ends are both free."""
+    open_edges = [(i, j, e.sigma) for (i, j), e in zip(ends[idx:], face[idx:])
+                  if free_d[i] and free_r[j]]
+    best = 0.0
+
+    def recurse(k, used_d, used_r, taken):
+        nonlocal best
+        if k == len(open_edges):
+            best = max(best, math.fsum(taken))
+            return
+        recurse(k + 1, used_d, used_r, taken)
+        i, j, sigma = open_edges[k]
+        if i not in used_d and j not in used_r:
+            recurse(k + 1, used_d | {i}, used_r | {j}, taken + [sigma])
+
+    recurse(0, frozenset(), frozenset(), [])
+    return best
+
+
+def test_face_bound_covers_every_completion():
+    """At any node of the tie-break search, the dual bound is at least the
+    best matching of the undecided face edges between free vertices.
+
+    States come from walking each small co-located face in search order,
+    taking an edge with both ends free at random and skipping the rest, and
+    stopping at a random index. The bound counts only vertices that an
+    undecided edge can join, and its slack covers the rounding of the
+    duals, so each state is checked exactly, with no tolerance."""
+    rng = np.random.default_rng(0)
+    states = 0
+    for problem in SMALL:
+        m = asg._welfare_index(problem.edges)
+        pick = asg._lsa_pick(m.s_raw, m.by_pair)[1]
+        face, u, v = asg._welfare_face(problem, m, pick)
+        bound = asg._FaceBound(m, face, u, v)
+        for _ in range(40):
+            free_d, free_r = ([True] * n for n in m.s_raw.shape)
+            idx = int(rng.integers(0, len(face) + 1))
+            for i, j in bound.ends[:idx]:
+                if free_d[i] and free_r[j] and rng.random() < 0.5:
+                    free_d[i] = free_r[j] = False
+            assert bound(free_d, free_r, idx) >= best_open_matching(
+                face, bound.ends, free_d, free_r, idx)
+            states += 1
+    assert states > 0
+
+
+def test_welfare_solve_costs_one_lsa_and_the_pick_removals(markets,
+                                                          monkeypatch):
+    """A welfare solve runs one LSA for the pick and one per picked driver
+    for the face's duals; the face search itself runs none. An empty matrix
+    needs no solve: the index of a market without edges, and a removal when
+    the index holds one driver."""
+    calls = []
+    lsa = asg.linear_sum_assignment
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lsa(*args, **kwargs)
+
+    monkeypatch.setattr(asg, "linear_sum_assignment", counted)
+    for problem in markets:
+        m = asg._welfare_index(problem.edges)
+        pick = asg._lsa_pick(m.s_raw, m.by_pair)[1]
+        del calls[:]
+        asg.solve_welfare_max(problem)
+        n_d = len(m.d_index)
+        assert len(calls) == (1 + len(pick) if n_d > 1 else n_d)
 
 
 def lsa_pick(problem):
@@ -188,9 +277,7 @@ def test_small_colocated_markets_match_brute_force():
         ties += is_tie(problem)
         _, _, pairs = oracle.brute_force_solve(problem, "welfare")
         got = asg.solve_welfare_max(problem).chosen
-        tie = tie_break(problem)
-        assert (sorted(e.pair for e in got) == sorted(e.pair for e in tie)
-                == sorted(pairs))
+        assert sorted(e.pair for e in got) == sorted(pairs)
     assert ties > 0
 
 
@@ -213,7 +300,8 @@ def test_tie_settle_solves_each_removal_once(markets, monkeypatch):
     """A tie's face asks for the LSA pick's driver removals and pricing for
     every matched participant's; a settle runs one LSA per distinct removal,
     so it costs the solve's LSAs plus one per removal the face did not ask
-    for."""
+    for. Removing the index's only driver or only rider leaves an empty
+    matrix, which needs no solve."""
     calls = []
     lsa = asg.linear_sum_assignment
 
@@ -232,7 +320,9 @@ def test_tie_settle_solves_each_removal_once(markets, monkeypatch):
         del calls[:]
         settle_epoch(VCG, problem, RATES)
         priced = set(solution.matched_drivers + solution.matched_riders)
-        assert len(calls) == solve_calls + len(priced - face)
+        lone = {p for ids in (m.d_index, m.r_index) if len(ids) == 1
+                for p in ids}
+        assert len(calls) == solve_calls + len(priced - face - lone)
         shared += bool(priced & face)
     assert shared > 0
 
