@@ -12,14 +12,14 @@ Which path runs:
   with sigma >= 0 gives the optimum and a pick, the only incumbent of
   _welfare_tie_break: an edge branch-and-bound over the welfare face
   (_welfare_face), bounded by the face's duals (_FaceBound) with no LSA.
-  chosen is the winner's order, observable in the event log: driver id for
-  the pick, (-sigma, tau, pair) for a branch-and-bound leaf.
+  The duals are the drivers' best core point (_core_point). chosen is the
+  winner's order, observable in the event log: driver id for the pick,
+  (-sigma, tau, pair) for a branch-and-bound leaf.
 - One index per settle (settle_index): an _Instance over the sigma >= 0
   edges (welfare) or all edges (sensing), shared by the solve and all
   removals.
-- VCG removal marginals (welfare_marginals): each removal is one LSA on the
-  welfare index with the participant's row or column, and every row and
-  column left without an edge, dropped.
+- VCG removal marginals (welfare_marginals): read from the pick's two core
+  points (_Instance.core) with no solve, so a VCG settle runs one LSA.
 - Sensing: zeta is the gain of the requested trip, one value per rider. The
   sensing index maps each rider to it once, on first use, and raises
   ContractError when one rider's edges carry two values. The sensing total
@@ -31,9 +31,8 @@ Which path runs:
   set (best_for_set). chosen is the winner's order: driver id for pass 1's
   matching, rider id for a best_for_set result.
 - DS removal marginals (sensing_marginals): each removal is a pass-1 search
-  over a slice of the settle's _Instance, with rows and columns dropped as
-  for VCG, so it sees exactly the arrays a rebuilt reduced index would
-  hold. It starts from an incumbent, the optimal rider set R* for a driver
+  over a slice of the settle's _Instance (_removals), so it sees exactly
+  the arrays a rebuilt reduced index would hold. It starts from an incumbent, the optimal rider set R* for a driver
   removal and R* less the rider for a rider removal, kept only if it meets
   the welfare floor, and ends once it reaches the full optimum U* (within
   1e-12). That is exact: removing a participant only deletes feasible
@@ -211,7 +210,7 @@ def solve_welfare_max(problem: MatchingProblem,
     settle_index, built when not given.
     """
     m = _welfare_index(problem.edges) if index is None else index
-    chosen = _welfare_tie_break(problem, m, _lsa_pick(m.s_raw, m.by_pair)[1])
+    chosen = _welfare_tie_break(m)
     value = _canonical_sum(chosen, "sigma")
     return MatchingSolution(chosen=chosen, objective_value=value,
                             welfare_total=value)
@@ -309,20 +308,17 @@ def welfare_marginals(problem: MatchingProblem, participants,
                       index: _Instance | None = None) -> dict[str, float]:
     """marginal_objective under the welfare objective, for many removals.
 
-    The welfare index (the settle index, built here when not given) is
-    shared by all removals. Each removal drops rows and columns as
-    _removals says, so the assignment solve sees the same matrix that a
-    rebuilt reduced problem would index, and picks the same matching. Its
-    value is kept in the index's `removed`, so a removal that the welfare
-    face and the settle's pricing both ask for is solved once.
+    V - V_-p is p's payoff at its side's best core point (_Instance.core of
+    the welfare index, built here when not given), so no removal is solved.
+    A participant with no sigma >= 0 edge gets V_-p = V.
     """
     m = _welfare_index(problem.edges) if index is None else index
-    new = [p for p in participants if p not in m.removed]
-    for p, rows, cols in _removals(m, problem, new):
-        grid = np.ix_(rows, cols)
-        m.removed[p] = _canonical_sum(
-            _lsa_pick(m.s_raw[grid], m.by_pair[grid])[1], "sigma")
-    return {p: m.removed[p] for p in participants}
+    pick, u_max, _, v_max = m.core
+    value = _canonical_sum(pick, "sigma")
+    pay = dict(zip([*m.d_index, *m.r_index], u_max.tolist() + v_max.tolist()))
+    if unknown := set(participants) - set(problem.drivers + problem.riders):
+        raise ContractError(f"participant {unknown.pop()!r} not in problem")
+    return {p: value - pay.get(p, 0.0) for p in participants}
 
 
 def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
@@ -364,18 +360,20 @@ def _lsa_pick(w: np.ndarray, by_pair: np.ndarray) -> tuple[float, tuple]:
     return float(w[ri, ci].sum()), tuple(by_pair[ri[keep], ci[keep]])
 
 
-def _welfare_tie_break(problem: MatchingProblem, m: _Instance,
-                       pick) -> tuple[CandidateEdge, ...]:
+def _welfare_tie_break(m: _Instance) -> tuple[CandidateEdge, ...]:
     """Tie-break-optimal maximum-welfare matching of the welfare index m.
 
-    `pick`, one LSA optimum in driver id order, is the only incumbent, and
+    The LSA pick of m.core, in driver id order, is the only incumbent, and
     its total the optimum p*. An edge branch-and-bound over _welfare_face,
     bounded by _FaceBound, takes a leaf only when _better ranks it above the
     incumbent. chosen keeps the winner's order.
     """
+    pick, u, v, _ = m.core
+    if not pick:
+        return pick     # no sigma > 0 edge, so nothing can beat it
     p_star = _canonical_sum(pick, "sigma")
     best_key, best_chosen = _solution_key(pick, "sigma"), pick
-    face, u, v = _welfare_face(problem, m, pick)
+    face = _welfare_face(m, u, v)
     bound = _FaceBound(m, face, u, v)
     ends, n_edges = bound.ends, len(face)
     free_d, free_r = ([True] * n for n in m.s_raw.shape)
@@ -412,26 +410,30 @@ def _welfare_tie_break(problem: MatchingProblem, m: _Instance,
     return best_chosen
 
 
-def _welfare_face(problem: MatchingProblem, m: _Instance, pick):
-    """The sigma > 0 edges of m with reduced cost <= 1e-6, in (-sigma, tau,
-    pair) order, and the duals u (rows) and v (columns) that price them.
-
-    Each driver of the LSA pick earns its marginal contribution V - V_-d
-    (welfare_marginals), its rider the rest of the edge, every other vertex
-    0: the drivers' optimal point of the assignment game's core, which is an
-    optimal dual of its LP (Shapley and Shubik 1971; Leonard 1983). By
-    complementary slackness every optimal matching lies on these edges.
-    """
-    value = _canonical_sum(pick, "sigma")
-    removed = welfare_marginals(problem, [e.driver for e in pick], m)
-    u, v = np.zeros(m.s_raw.shape[0]), np.zeros(m.s_raw.shape[1])
-    for e in pick:
-        i, j = m.d_index[e.driver], m.r_index[e.rider]
-        u[i] = value - removed[e.driver]
-        v[j] = e.sigma - u[i]
+def _welfare_face(m: _Instance, u, v):
+    """The sigma > 0 edges of m with reduced cost <= 1e-6 under optimal duals
+    u, v, in (-sigma, tau, pair) order: every optimal matching lies on them."""
     keep = (m.s_raw > 0.0) & (u[:, None] + v[None, :] - m.s_raw <= 1e-6)
-    face = sorted(m.by_pair[keep], key=lambda e: (-e.sigma, e.tau, e.pair))
-    return face, u, v
+    return sorted(m.by_pair[keep], key=lambda e: (-e.sigma, e.tau, e.pair))
+
+
+def _core_point(w: np.ndarray, rows, cols):
+    """The rows' best point (u, v) of the core of the assignment game on w, an
+    optimal dual with u_i = V - V_-i (Shapley and Shubik 1971; Leonard 1983),
+    from an optimal matching rows[k] -> cols[k]. v is the least v >= 0 with
+    u + v >= w, where u = w - v on the matching and 0 off it: the longest
+    paths of the matching's exchange graph, by Bellman-Ford from v = 0. An
+    optimal matching leaves no positive cycle, so it ends within one pass per
+    column and one more; the cap stops a cycle that rounding makes positive.
+    """
+    u, v = np.zeros(w.shape[0]), np.zeros(w.shape[1])
+    matched = w[rows, cols]
+    for _ in range(w.shape[1] + 1):
+        u[rows] = matched - v[cols]
+        v, last = (w - u[:, None]).max(axis=0, initial=0.0), v
+        if (v == last).all():
+            break
+    return u, v
 
 
 class _FaceBound:
@@ -493,9 +495,8 @@ class _Instance:
     edge's sigma (0 off the edges), has_edge the edges, by_pair their
     objects. The sensing program's zr (each rider's zeta) and z_raw (each
     edge's) are built on first use: a rider with two zeta values raises
-    ContractError there, and the welfare program never reads them.
-    removed holds the welfare_marginals values solved so far, by
-    participant.
+    ContractError there, and the welfare program never reads them; its
+    core (the pick and both core points) is built on first use too.
     """
 
     def __init__(self, edges):
@@ -515,7 +516,6 @@ class _Instance:
             self.has_edge[i, j] = True
             self.by_pair[i, j] = e
         self._floor_lam: float | None = None
-        self.removed: dict[str, float] = {}
 
     @cached_property
     def zr(self) -> dict[str, float]:
@@ -529,6 +529,16 @@ class _Instance:
     def z_raw(self) -> np.ndarray:
         zeta = np.array([self.zr[r] for r in self.r_index])
         return np.where(self.has_edge, zeta, 0.0)
+
+    @cached_property
+    def core(self):
+        """The welfare program's LSA pick, the drivers' core point (u_max,
+        v_min) and the riders' v_max (_core_point)."""
+        pick = _lsa_pick(self.s_raw, self.by_pair)[1]
+        rows = np.array([self.d_index[e.driver] for e in pick], dtype=int)
+        cols = np.array([self.r_index[e.rider] for e in pick], dtype=int)
+        u_max, v_min = _core_point(self.s_raw, rows, cols)
+        return pick, u_max, v_min, _core_point(self.s_raw.T, cols, rows)[0]
 
     def floor_multiplier(self) -> float:
         """The multiplier of the sensing program's welfare floor.

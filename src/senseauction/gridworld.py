@@ -184,8 +184,10 @@ def order_prospect(world: GridWorld, dest_cell: int) -> float:
 
 def build_prospect_model(world: GridWorld, xi: float,
                          p_star_frac: float) -> ProspectModel:
-    if xi < 0:
-        raise ConfigurationError("xi must be non-negative")
+    if not (math.isfinite(xi) and xi >= 0):
+        raise ConfigurationError("xi must be finite and non-negative")
+    if not 0.0 <= p_star_frac <= 1.0:
+        raise ConfigurationError("p_star_frac must be in [0, 1]")
     prospects = np.array([order_prospect(world, g) for g in range(world.n_cells)])
     return ProspectModel(xi=float(xi), p_star_frac=float(p_star_frac),
                          prospects=prospects,

@@ -62,7 +62,7 @@ class EpochSettlement:
 
 def compute_marginals(problem: MatchingProblem, solution: MatchingSolution,
                       index=None) -> dict[str, float]:
-    """Re-solved objective with each matched participant removed in turn.
+    """The optimum with each matched participant removed in turn.
 
     `solution` is the problem's optimum and `index` its settle_index (built
     here when not given); every removal is priced from that one index.

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import pricing
 from .assignment import (CandidateEdge, MatchingProblem, MatchingSolution,
-                         solve_sensing_max, solve_welfare_max)
+                         marginal_objective, solve_sensing_max,
+                         solve_welfare_max)
 from .market import Rates, driver_valuation, rider_valuation
 from .oracle import brute_force_solve
 
@@ -165,16 +166,24 @@ def _check_feasible(solution: MatchingSolution, problem: MatchingProblem) -> Non
 
 
 def check_settlement_properties(inst: RandomInstance) -> None:
-    """BB/WBB, IR, deficit sign, bonus signs, share normalization."""
+    """BB/WBB, IR, deficit sign, bonus signs, share normalization, and each
+    VCG pivot against its definition V - V_-p (the settle reads it from the
+    core instead)."""
     wp = inst.problem("welfare")
     vcg = pricing.settle_epoch(pricing.VCG, wp, inst.rates)
     if vcg.revenue > TOL:
         raise PropertyViolation("VCG-deficit", f"revenue {vcg.revenue} > 0",
                                 inst.replay_doc())
+    v_star = vcg.solution.objective_value
     for m in vcg.priced:
         if m.rho_d < -TOL or m.rho_r < -TOL:
             raise PropertyViolation("VCG-bonus", "negative pivot bonus",
                                     inst.replay_doc())
+        for p, rho in ((m.driver, m.rho_d), (m.rider, m.rho_r)):
+            if abs(rho - (v_star - marginal_objective(wp, p))) > TOL:
+                raise PropertyViolation("VCG-pivot",
+                                        f"pivot of {p} {rho} != V - V_-p",
+                                        inst.replay_doc())
         _check_ir(m, inst, floor=False)
 
     sp = inst.problem("sensing")

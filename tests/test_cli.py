@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ def test_malformed_config_is_usage_error(tmp_path):
     {"world": {"rows": 2, "cols": 2, "densities": [1, 1, 1]}},
     {"floor_enabled": "off"},        # a non-empty string is truthy
     {"overreport_fraction": None},   # only remote_frac may be null
+    {"world": {"rows": 1, "cols": 2, "densities": [1, 1], "xi": math.nan}},
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, fields):
     bad = tmp_path / "bad.json"

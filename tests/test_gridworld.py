@@ -141,9 +141,13 @@ def test_opportunity_cost_monotone_and_continuous():
 
 
 def test_build_prospect_model_rejects_negative_xi():
+    """Also a non-finite xi, and a p_star_frac that is NaN or outside [0, 1]:
+    they would otherwise reach the solvers as invalid weights."""
     world = build_grid(1, 1, 1.0, [1.0])
-    with pytest.raises(ConfigurationError):
-        build_prospect_model(world, xi=-1.0, p_star_frac=0.9)
+    for xi, p_star_frac in ((-1.0, 0.9), (math.nan, 0.9), (math.inf, 0.9),
+                            (50.0, math.nan), (50.0, -0.1), (50.0, 1.5)):
+        with pytest.raises(ConfigurationError):
+            build_prospect_model(world, xi=xi, p_star_frac=p_star_frac)
 
 
 def test_load_world_from_document():

@@ -1,5 +1,6 @@
 """Welfare program at simulator sizes: the face search from one assignment
-solve, and the batched VCG removal marginals against per-removal solves.
+solve, and the VCG removal marginals, read from the core's two extreme
+points, against per-removal solves.
 
 Brute force stops at 8x8, so most checks compare against the LSA optimum, a
 reference uniqueness check and per-removal solves instead: on seeded markets
@@ -8,6 +9,7 @@ without co-located drivers. Co-located markets of at most 8x8 are also
 checked against brute force.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -145,26 +147,28 @@ def test_welfare_max_equals_exact_search_at_scale(markets):
 
 
 def test_welfare_face_is_cut_by_an_optimal_dual(markets):
-    """On every tie, the duals behind the welfare face (the LSA pick's own
-    driver removal marginals) are an optimal dual of the assignment LP:
+    """On every market, both extreme points of the core behind the welfare
+    face and the VCG pivots are optimal duals of the assignment LP:
     non-negative, covering every sigma >= 0 edge, tight on the pick, and
-    summing to the optimum. All within 1e-9, since V - V_-d of a driver
-    that another driver can replace may round to about -1e-15."""
-    ties = 0
-    for problem in filter(is_tie, markets):
-        ties += 1
+    summing to the optimum. The drivers' point also pays each driver at
+    least the riders' point does. All within 1e-9, since a driver that
+    another driver can replace may get about -1e-15."""
+    for problem in markets:
         m = asg._welfare_index(problem.edges)
-        pick = asg._lsa_pick(m.s_raw, m.by_pair)[1]
-        face, u, v = asg._welfare_face(problem, m, pick)
-        assert u.min(initial=0.0) >= -1e-9 and v.min(initial=0.0) >= -1e-9
-        reduced = u[:, None] + v[None, :] - m.s_raw
-        assert reduced[m.has_edge].min() >= -1e-9
-        for e in pick:
-            assert abs(reduced[m.d_index[e.driver], m.r_index[e.rider]]) <= 1e-9
-        assert set(pick) <= set(face)
-        assert u.sum() + v.sum() == pytest.approx(
-            asg._canonical_sum(pick, "sigma"), abs=1e-9, rel=0)
-    assert ties > 0
+        pick, u_max, v_min, v_max = m.core
+        rows = [m.d_index[e.driver] for e in pick]
+        cols = [m.r_index[e.rider] for e in pick]
+        u_min = np.zeros_like(u_max)
+        u_min[rows] = m.s_raw[rows, cols] - v_max[cols]
+        for u, v in ((u_max, v_min), (u_min, v_max)):
+            assert u.min(initial=0.0) >= -1e-9 and v.min(initial=0.0) >= -1e-9
+            reduced = u[:, None] + v[None, :] - m.s_raw
+            assert reduced[m.has_edge].min(initial=0.0) >= -1e-9
+            assert np.abs(reduced[rows, cols]).max(initial=0.0) <= 1e-9
+            assert u.sum() + v.sum() == pytest.approx(
+                asg._canonical_sum(pick, "sigma"), abs=1e-9, rel=0)
+        assert (u_max - u_min).min(initial=0.0) >= -1e-9
+        assert set(pick) <= set(asg._welfare_face(m, u_max, v_min))
 
 
 def best_open_matching(face, ends, free_d, free_r, idx):
@@ -201,8 +205,8 @@ def test_face_bound_covers_every_completion():
     states = 0
     for problem in SMALL:
         m = asg._welfare_index(problem.edges)
-        pick = asg._lsa_pick(m.s_raw, m.by_pair)[1]
-        face, u, v = asg._welfare_face(problem, m, pick)
+        _, u, v, _ = m.core
+        face = asg._welfare_face(m, u, v)
         bound = asg._FaceBound(m, face, u, v)
         for _ in range(40):
             free_d, free_r = ([True] * n for n in m.s_raw.shape)
@@ -216,12 +220,15 @@ def test_face_bound_covers_every_completion():
     assert states > 0
 
 
-def test_welfare_solve_costs_one_lsa_and_the_pick_removals(markets,
-                                                          monkeypatch):
-    """A welfare solve runs one LSA for the pick and one per picked driver
-    for the face's duals; the face search itself runs none. An empty matrix
-    needs no solve: the index of a market without edges, and a removal when
-    the index holds one driver."""
+# A market whose welfare index is empty: its only edge has sigma < 0.
+NEGATIVE = MatchingProblem(
+    [CandidateEdge("d0", "r0", 1.0, P_d=5.0, P_r=4.0, zeta=0.0, h_r=1.0)],
+    ("d0", "d1"), ("r0",))
+
+
+def counted_lsa(monkeypatch):
+    """Count the module's linear_sum_assignment calls into the returned
+    list."""
     calls = []
     lsa = asg.linear_sum_assignment
 
@@ -230,13 +237,41 @@ def test_welfare_solve_costs_one_lsa_and_the_pick_removals(markets,
         return lsa(*args, **kwargs)
 
     monkeypatch.setattr(asg, "linear_sum_assignment", counted)
-    for problem in markets:
-        m = asg._welfare_index(problem.edges)
-        pick = asg._lsa_pick(m.s_raw, m.by_pair)[1]
+    return calls
+
+
+def test_welfare_solve_costs_one_lsa_and_the_pick_removals(markets,
+                                                          monkeypatch):
+    """A welfare solve runs one LSA, for the pick; the pick's driver
+    removals behind the face are read from the pick's core points and run
+    none. An empty welfare index needs no solve: a market without edges and
+    one whose only edge has sigma < 0."""
+    calls = counted_lsa(monkeypatch)
+    empty = 0
+    for problem in markets + [NEGATIVE, MatchingProblem([], ("d0",), ())]:
+        expected = int(asg._welfare_index(problem.edges).s_raw.size > 0)
+        empty += 1 - expected
         del calls[:]
         asg.solve_welfare_max(problem)
-        n_d = len(m.d_index)
-        assert len(calls) == (1 + len(pick) if n_d > 1 else n_d)
+        assert len(calls) == expected
+    assert empty >= 2
+
+
+def test_tie_settle_solves_each_removal_once(markets, monkeypatch):
+    """A whole VCG settle, the solve and every matched participant's pivot,
+    runs one LSA, however many removals it prices: the pivots come from the
+    pick's core points. On ties, where the face and pricing both ask for
+    removals, some settles price more than one participant. An empty
+    welfare index needs none."""
+    calls = counted_lsa(monkeypatch)
+    shared = 0
+    for problem in markets + [NEGATIVE, MatchingProblem([], ("d0",), ())]:
+        expected = int(asg._welfare_index(problem.edges).s_raw.size > 0)
+        del calls[:]
+        settled = settle_epoch(VCG, problem, RATES)
+        assert len(calls) == expected
+        shared += is_tie(problem) and len(settled.priced) > 1
+    assert shared > 0
 
 
 def lsa_pick(problem):
@@ -282,49 +317,31 @@ def test_small_colocated_markets_match_brute_force():
 
 
 def test_batched_vcg_marginals_equal_per_removal_solves(markets):
+    """Every participant's welfare marginal, read from the core points, is
+    within 1e-12 of its per-removal solve: a driver or rider left without a
+    sigma >= 0 edge gets the optimum. The VCG settle prices the same chosen
+    matching, in the same order, within 1e-12 of the per-removal prices."""
     ties = 0
-    for problem in markets:
+    for problem in markets + [NEGATIVE]:
         problem.objective = asg.WELFARE
         solution = asg.solve_welfare_max(problem)
         ties += is_tie(problem)
-        per_removal = {p: asg.marginal_objective(problem, p)
-                       for p in solution.matched_drivers
-                       + solution.matched_riders}
-        assert pricing.compute_marginals(problem, solution) == per_removal
+        everyone = problem.drivers + problem.riders
+        per_removal = {p: asg.marginal_objective(problem, p) for p in everyone}
+        batched = asg.welfare_marginals(problem, everyone)
+        for p in everyone:
+            assert abs(batched[p] - per_removal[p]) <= 1e-12, p
         settled = settle_epoch(VCG, problem, RATES, floor_enabled=False)
-        assert settled.priced == vcg_prices(solution, per_removal).priced
+        expected = vcg_prices(solution, per_removal)
+        assert settled.solution.chosen == solution.chosen
+        assert len(settled.priced) == len(expected.priced)
+        for got, want in zip(settled.priced, expected.priced):
+            assert (got.driver, got.rider) == (want.driver, want.rider)
+            for f in dataclasses.fields(got):
+                value = getattr(got, f.name)
+                if isinstance(value, float):
+                    assert abs(value - getattr(want, f.name)) <= 1e-12, f.name
     assert ties > 0
-
-
-def test_tie_settle_solves_each_removal_once(markets, monkeypatch):
-    """A tie's face asks for the LSA pick's driver removals and pricing for
-    every matched participant's; a settle runs one LSA per distinct removal,
-    so it costs the solve's LSAs plus one per removal the face did not ask
-    for. Removing the index's only driver or only rider leaves an empty
-    matrix, which needs no solve."""
-    calls = []
-    lsa = asg.linear_sum_assignment
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return lsa(*args, **kwargs)
-
-    monkeypatch.setattr(asg, "linear_sum_assignment", counted)
-    shared = 0
-    for problem in filter(is_tie, markets):
-        m = asg._welfare_index(problem.edges)
-        face = {e.driver for e in asg._lsa_pick(m.s_raw, m.by_pair)[1]}
-        del calls[:]
-        solution = asg.solve_welfare_max(problem)
-        solve_calls = len(calls)
-        del calls[:]
-        settle_epoch(VCG, problem, RATES)
-        priced = set(solution.matched_drivers + solution.matched_riders)
-        lone = {p for ids in (m.d_index, m.r_index) if len(ids) == 1
-                for p in ids}
-        assert len(calls) == solve_calls + len(priced - face - lone)
-        shared += bool(priced & face)
-    assert shared > 0
 
 
 def test_batched_marginals_reject_unknown_participant():
