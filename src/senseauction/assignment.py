@@ -162,41 +162,38 @@ def build_candidates(drivers, riders, world: GridWorld, rates: market.Rates,
     counterparts; sensing gains are frozen against the current coverage and
     never include the pick-up leg.
     """
-    taus: dict[tuple[str, str], float] = {}
-    for d in drivers:
-        for r in riders:
-            t = math.dist(d.location, r.origin)
-            if t <= radius + _TOL:
-                taus[(d.id, r.id)] = t
-    tau_min_d = {}
-    tau_min_r = {}
-    for (did, rid), t in taus.items():
-        tau_min_d[did] = min(tau_min_d.get(did, math.inf), t)
-        tau_min_r[rid] = min(tau_min_r.get(rid, math.inf), t)
+    # numpy's hypot can differ from math.dist by an ulp, so it only
+    # prefilters, with a margin; tau is math.dist, tested as before.
+    gaps = (np.array([r.origin for r in riders]).reshape(1, -1, 2)
+            - np.array([d.location for d in drivers]).reshape(-1, 1, 2))
+    di, ri = np.nonzero(np.hypot(gaps[..., 0], gaps[..., 1]) <= radius + 2 * _TOL)
+    tau = np.array([math.dist(drivers[i].location, riders[j].origin)
+                    for i, j in zip(di.tolist(), ri.tolist())], dtype=float)
+    keep = tau <= radius + _TOL
+    di, ri, tau = di[keep], ri[keep], tau[keep]
+    tau_min_d = np.full(len(drivers), np.inf)
+    tau_min_r = np.full(len(riders), np.inf)
+    np.minimum.at(tau_min_d, di, tau)
+    np.minimum.at(tau_min_r, ri, tau)
 
-    rider_info = {}
-    for r in riders:
-        if r.id not in tau_min_r:
-            continue
-        dest_cell = world.cell_of(r.dest)
-        f = opportunity_cost(prospect_model, prospect_model.prospects[dest_cell])
-        zeta = sensing_mod.marginal_gain(sensing_params, coverage, r.route.cells)
-        rider_info[r.id] = (r, f, zeta)
+    h = [r.route.length for r in riders]
+    f, zeta = np.zeros(len(riders)), [0.0] * len(riders)
+    served = np.flatnonzero(tau_min_r < math.inf)
+    dest_cells = world.cells_of([riders[j].dest for j in served])
+    for j, cell in zip(served.tolist(), dest_cells.tolist()):
+        f[j] = opportunity_cost(prospect_model, prospect_model.prospects[cell])
+        zeta[j] = sensing_mod.marginal_gain(sensing_params, coverage,
+                                            riders[j].route.cells)
 
-    edges = []
-    for d in drivers:
-        for r in riders:
-            t = taus.get((d.id, r.id))
-            if t is None:
-                continue
-            rr, f, zeta = rider_info[r.id]
-            P_d = market.driver_valuation(rates, rr.route.length, d.b_reported,
-                                          t, tau_min_d[d.id], f)
-            P_r = market.rider_valuation(rates, rr.route.length,
-                                         rr.delta_reported, t, tau_min_r[r.id])
-            edges.append(CandidateEdge(driver=d.id, rider=r.id, tau=t,
-                                       P_d=P_d, P_r=P_r, zeta=zeta,
-                                       h_r=rr.route.length))
+    h_e = np.array(h)[ri]
+    b = np.array([d.b_reported for d in drivers])
+    delta = np.array([r.delta_reported for r in riders])
+    P_d = market.driver_valuation(rates, h_e, b[di], tau, tau_min_d[di], f[ri])
+    P_r = market.rider_valuation(rates, h_e, delta[ri], tau, tau_min_r[ri])
+    edges = [CandidateEdge(driver=drivers[i].id, rider=riders[j].id, tau=t,
+                           P_d=pd, P_r=pr, zeta=zeta[j], h_r=h[j])
+             for i, j, t, pd, pr in zip(di.tolist(), ri.tolist(), tau.tolist(),
+                                        P_d.tolist(), P_r.tolist())]
     return MatchingProblem(edges=edges, drivers=tuple(d.id for d in drivers),
                            riders=tuple(r.id for r in riders))
 

@@ -27,6 +27,7 @@ class GridWorld:
     densities: np.ndarray        # normalized per-cell trip-demand mass
     centroids: np.ndarray        # (n_cells, 2) centroid coordinates in km
     max_centroid_dist: float     # largest centroid-to-centroid distance
+    demand_cdf: np.ndarray       # cumsum of densities over its last entry
 
     @property
     def n_cells(self) -> int:
@@ -43,19 +44,27 @@ class GridWorld:
 
     def cell_of(self, point: tuple[float, float]) -> int:
         """Primary cell of a point (boundary points snap toward the origin-side cell)."""
-        if not self.contains(point):
-            raise GeometryError(f"point {point} outside grid extent {self.extent}")
-        col = min(self.cols - 1, max(0, int(math.floor(point[0] / self.cell_size))))
-        row = min(self.rows - 1, max(0, int(math.floor(point[1] / self.cell_size))))
-        return row * self.cols + col
+        return int(self.cells_of([point])[0])
 
-    def cells_touching(self, point: tuple[float, float]) -> list[int]:
-        """All cells whose closed boundary contains the point (1, 2, or 4 cells)."""
-        if not self.contains(point):
+    def cells_of(self, points) -> np.ndarray:
+        """cell_of for each row of an (n, 2) array of points."""
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
+        inside = (p >= -_EPS) & (p <= np.add(self.extent, _EPS))
+        if not inside.all():
+            point = tuple(p[~inside.all(axis=1)][0].tolist())
             raise GeometryError(f"point {point} outside grid extent {self.extent}")
-        cols = _axis_indices(point[0], self.cols, self.cell_size)
-        rows = _axis_indices(point[1], self.rows, self.cell_size)
-        return sorted(r * self.cols + c for r in rows for c in cols)
+        col = np.clip(np.floor(p[:, 0] / self.cell_size), 0, self.cols - 1)
+        row = np.clip(np.floor(p[:, 1] / self.cell_size), 0, self.rows - 1)
+        return (row * self.cols + col).astype(int)
+
+    def _touching(self, x: float, y: float) -> list[int]:
+        """All cells whose closed boundary contains (x, y) (1, 2, or 4 cells).
+
+        Ascending, as rows and columns ascend. The caller checks the extent.
+        """
+        cols = _axis_indices(x, self.cols, self.cell_size)
+        return [r * self.cols + c
+                for r in _axis_indices(y, self.rows, self.cell_size) for c in cols]
 
 
 def _axis_indices(v: float, n: int, cell_size: float) -> list[int]:
@@ -85,6 +94,7 @@ class ProspectModel:
     prospects: np.ndarray    # prospect per cell
     p_min: float
     p_max: float
+    low_cells: np.ndarray    # cells at or below the prospects' lower quartile
 
     @property
     def p_star(self) -> float:
@@ -94,8 +104,8 @@ class ProspectModel:
 def build_grid(rows: int, cols: int, cell_size: float, densities) -> GridWorld:
     if rows < 1 or cols < 1:
         raise ConfigurationError("grid must have at least one row and column")
-    if cell_size <= 0:
-        raise ConfigurationError("cell_size must be positive")
+    if not (math.isfinite(cell_size) and cell_size > 0):
+        raise ConfigurationError("cell_size must be finite and positive")
     dens = np.asarray(densities, dtype=float).ravel()
     if dens.size != rows * cols:
         raise ConfigurationError(
@@ -114,10 +124,13 @@ def build_grid(rows: int, cols: int, cell_size: float, densities) -> GridWorld:
     if rows * cols == 1:
         m = cell_size  # degenerate world: avoid division by zero in weights
     else:
-        diffs = centroids[:, None, :] - centroids[None, :, :]
-        m = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+        # Subtraction, squares and sqrt are monotone in floats, so the two
+        # corner centroids are exactly the farthest pair.
+        m = float(np.sqrt(((centroids[-1] - centroids[0]) ** 2).sum()))
+    cdf = dens.cumsum()
     return GridWorld(rows=rows, cols=cols, cell_size=float(cell_size),
-                     densities=dens, centroids=centroids, max_centroid_dist=m)
+                     densities=dens, centroids=centroids, max_centroid_dist=m,
+                     demand_cdf=cdf / cdf[-1])
 
 
 def route(world: GridWorld, origin: tuple[float, float],
@@ -138,31 +151,29 @@ def route(world: GridWorld, origin: tuple[float, float],
 
     ts = {0.0, 1.0}
     cs = world.cell_size
-    for k in range(1, world.cols):
-        t = _crossing_param(x0, x1, k * cs)
-        if t is not None:
-            ts.add(t)
-    for k in range(1, world.rows):
-        t = _crossing_param(y0, y1, k * cs)
-        if t is not None:
-            ts.add(t)
+    # Only grid lines between the endpoints can be crossed; test those, with
+    # one line of margin on each side.
+    for v0, v1, n in ((x0, x1, world.cols), (y0, y1, world.rows)):
+        lo, hi = sorted((v0, v1))
+        for k in range(max(1, math.floor(lo / cs)), min(n, math.floor(hi / cs) + 2)):
+            t = _crossing_param(v0, v1, k * cs)
+            if t is not None:
+                ts.add(t)
     ts = sorted(ts)
 
-    at = lambda t: (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
     ordered: list[int] = []
     seen: set[int] = set()
 
-    def _add(cells):
-        for c in cells:
+    def _add(t):
+        for c in world._touching(x0 + t * (x1 - x0), y0 + t * (y1 - y0)):
             if c not in seen:
                 seen.add(c)
                 ordered.append(c)
 
     for i in range(len(ts) - 1):
-        mid = 0.5 * (ts[i] + ts[i + 1])
-        _add(world.cells_touching(at(mid)))
+        _add(0.5 * (ts[i] + ts[i + 1]))
         if i + 1 < len(ts) - 1:  # interior crossing: corner cells count too
-            _add(world.cells_touching(at(ts[i + 1])))
+            _add(ts[i + 1])
     return CellRoute(cells=tuple(ordered), length=h)
 
 
@@ -191,7 +202,9 @@ def build_prospect_model(world: GridWorld, xi: float,
     prospects = np.array([order_prospect(world, g) for g in range(world.n_cells)])
     return ProspectModel(xi=float(xi), p_star_frac=float(p_star_frac),
                          prospects=prospects,
-                         p_min=float(prospects.min()), p_max=float(prospects.max()))
+                         p_min=float(prospects.min()), p_max=float(prospects.max()),
+                         low_cells=np.flatnonzero(
+                             prospects <= np.quantile(prospects, 0.25)))
 
 
 def opportunity_cost(model: ProspectModel, p: float) -> float:

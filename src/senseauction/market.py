@@ -1,9 +1,14 @@
-"""Participant valuations, social welfare, and utility accounting."""
+"""Participant valuations, social welfare, and utility accounting.
+
+The two valuations take floats or per-edge numpy arrays.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import ContractError
 from .gridworld import CellRoute
@@ -58,7 +63,7 @@ class Quote:
 def driver_valuation(rates: Rates, h_r: float, b_d: float, tau_dr: float,
                      tau_min_d: float, f: float) -> float:
     """Driver's desired payment: trip cost + extra pick-up cost + opportunity cost."""
-    if tau_dr < tau_min_d - MONEY_TOL or tau_min_d < 0:
+    if np.any(tau_dr < tau_min_d - MONEY_TOL) or np.any(tau_min_d < 0):
         raise ContractError(
             f"tau_dr={tau_dr} must be >= tau_min_d={tau_min_d} >= 0")
     return rates.alpha * h_r + b_d * (tau_dr - tau_min_d) + f
@@ -67,7 +72,7 @@ def driver_valuation(rates: Rates, h_r: float, b_d: float, tau_dr: float,
 def rider_valuation(rates: Rates, h_r: float, delta_r: float, tau_dr: float,
                     tau_min_r: float) -> float:
     """Rider's willingness to pay, discounted for the extra pick-up wait."""
-    if tau_dr < tau_min_r - MONEY_TOL or tau_min_r < 0:
+    if np.any(tau_dr < tau_min_r - MONEY_TOL) or np.any(tau_min_r < 0):
         raise ContractError(
             f"tau_dr={tau_dr} must be >= tau_min_r={tau_min_r} >= 0")
     return rates.beta * h_r - delta_r * (tau_dr - tau_min_r)

@@ -174,19 +174,22 @@ def generate_demand(config: ScenarioConfig, world: GridWorld,
     with probability 1 - remote_frac, and are otherwise uniform over the
     bottom-quartile-prospect cells, which makes higher scenarios produce more
     remote (low-prospect) trips.
+
+    A density draw searches world.demand_cdf with one rng.random(). That is
+    how rng.choice(n_cells, p=densities) draws, on the same CDF, so the
+    random stream and every cell are unchanged.
     """
     mean = config.requests_per_hour / config.epochs_per_interval
     count = int(rng.poisson(mean))
     remote_frac = config.effective_remote_frac
-    low_cells = np.flatnonzero(
-        model.prospects <= np.quantile(model.prospects, 0.25))
+    cdf = world.demand_cdf
     riders = []
     for k in range(count):
-        o_cell = int(rng.choice(world.n_cells, p=world.densities))
+        o_cell = int(cdf.searchsorted(rng.random(), side="right"))
         if rng.random() < remote_frac:
-            d_cell = int(rng.choice(low_cells))
+            d_cell = int(rng.choice(model.low_cells))
         else:
-            d_cell = int(rng.choice(world.n_cells, p=world.densities))
+            d_cell = int(cdf.searchsorted(rng.random(), side="right"))
         origin = _point_in_cell(world, o_cell, rng)
         dest = _point_in_cell(world, d_cell, rng)
         delta_true = float(rng.uniform(config.bid_low, config.bid_high))
@@ -237,21 +240,28 @@ def make_fleet(config: ScenarioConfig, world: GridWorld,
 def reposition_vacant(drivers, world: GridWorld, model: ProspectModel,
                       dt_hours: float, speed_kmh: float,
                       radius_km: float = 3.0) -> None:
-    """Cruise vacant drivers toward the best-prospect cell in their vicinity."""
-    for d in drivers:
-        if d.status is not DriverStatus.VACANT:
-            continue
-        dists = np.linalg.norm(world.centroids - np.asarray(d.location), axis=1)
-        nearby = np.flatnonzero(dists <= radius_km)
-        if nearby.size == 0:
-            continue
-        # Highest prospect wins; ties go to the nearest centroid, then lowest id.
-        best = min(nearby, key=lambda g: (-model.prospects[g], dists[g], g))
-        if best == world.cell_of(d.location):
+    """Cruise vacant drivers toward the best-prospect cell in their vicinity.
+
+    Each driver targets the centroid within radius_km of highest prospect;
+    ties go to the nearest centroid, then to the lowest cell id. A driver
+    with no centroid in radius, or already in its target cell, stays put.
+    """
+    vacant = [d for d in drivers if d.status is DriverStatus.VACANT]
+    locs = np.array([d.location for d in vacant], dtype=float).reshape(-1, 2)
+    dists = np.linalg.norm(world.centroids - locs[:, None, :], axis=2)
+    nearby = dists <= radius_km
+    top = nearby & (model.prospects == np.where(
+        nearby, model.prospects, -np.inf).max(axis=1, keepdims=True))
+    closest = np.where(top, dists, np.inf).min(axis=1, keepdims=True)
+    bests = np.argmax(top & (dists == closest), axis=1)
+    movers = np.flatnonzero(nearby.any(axis=1))
+    for i, own in zip(movers.tolist(), world.cells_of(locs[movers]).tolist()):
+        d, best = vacant[i], bests[i]
+        if best == own:
             continue
         target = world.centroids[best]
         step = speed_kmh * dt_hours
-        gap = float(dists[best])
+        gap = float(dists[i, best])
         if gap <= step:
             d.location = (float(target[0]), float(target[1]))
         else:

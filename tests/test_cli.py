@@ -51,6 +51,8 @@ def test_malformed_config_is_usage_error(tmp_path):
     {"floor_enabled": "off"},        # a non-empty string is truthy
     {"overreport_fraction": None},   # only remote_frac may be null
     {"world": {"rows": 1, "cols": 2, "densities": [1, 1], "xi": math.nan}},
+    {"world": {"rows": 1, "cols": 2, "densities": [1, 1],
+               "cell_size_km": math.inf}},   # written as Infinity
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, fields):
     bad = tmp_path / "bad.json"

@@ -41,6 +41,8 @@ def test_build_grid_3x3_uniform_max_distance():
     (1, 2, 1.0, [0.0, 0.0]),       # zero total mass
     (1, 2, 1.0, [1.0, -1.0]),      # negative mass
     (1, 2, 1.0, [1.0, float("nan")]),
+    (1, 2, math.inf, [1.0, 1.0]),   # non-finite sizes overflow the draws
+    (1, 2, math.nan, [1.0, 1.0]),
 ])
 def test_build_grid_rejects_bad_config(rows, cols, size, dens):
     with pytest.raises(ConfigurationError):

@@ -1,0 +1,438 @@
+"""The simulator's array layers against the per-point loops they replaced.
+
+Each ref_* function below is the earlier loop implementation, kept here
+only as the reference: demand draws, repositioning, routing and candidate
+construction must return bit-identical floats, in the same order, and
+consume the same random stream.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from senseauction import market
+from senseauction import sensing as sensing_mod
+from senseauction.assignment import CandidateEdge, build_candidates
+from senseauction.errors import GeometryError
+from senseauction.gridworld import (CellRoute, _EPS, _axis_indices,
+                                    _crossing_param, build_grid, load_world,
+                                    opportunity_cost, route)
+from senseauction.market import DriverState, DriverStatus, Rates, RiderRequest
+from senseauction.sensing import CoverageState, SensingParams
+from senseauction.simengine import (ScenarioConfig, default_world,
+                                    generate_demand, reposition_vacant)
+
+RATES = Rates(alpha=1.5, beta=2.75)
+_TOL = 1e-9
+
+
+# --- reference implementations ----------------------------------------------
+
+def ref_cell_of(world, point):
+    if not world.contains(point):
+        raise GeometryError(f"point {point} outside grid extent {world.extent}")
+    col = min(world.cols - 1, max(0, int(math.floor(point[0] / world.cell_size))))
+    row = min(world.rows - 1, max(0, int(math.floor(point[1] / world.cell_size))))
+    return row * world.cols + col
+
+
+def ref_cells_touching(world, point):
+    if not world.contains(point):
+        raise GeometryError(f"point {point} outside grid extent {world.extent}")
+    cols = _axis_indices(point[0], world.cols, world.cell_size)
+    rows = _axis_indices(point[1], world.rows, world.cell_size)
+    return sorted(r * world.cols + c for r in rows for c in cols)
+
+
+def ref_max_centroid_dist(world):
+    if world.n_cells == 1:
+        return world.cell_size
+    c = world.centroids
+    diffs = c[:, None, :] - c[None, :, :]
+    return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+
+
+def ref_generate_demand(config, world, model, epoch, rng):
+    mean = config.requests_per_hour / config.epochs_per_interval
+    count = int(rng.poisson(mean))
+    remote_frac = config.effective_remote_frac
+    low_cells = np.flatnonzero(
+        model.prospects <= np.quantile(model.prospects, 0.25))
+    riders = []
+    for k in range(count):
+        o_cell = int(rng.choice(world.n_cells, p=world.densities))
+        if rng.random() < remote_frac:
+            d_cell = int(rng.choice(low_cells))
+        else:
+            d_cell = int(rng.choice(world.n_cells, p=world.densities))
+        row, col = divmod(o_cell, world.cols)
+        cs = world.cell_size
+        origin = (float((col + rng.random()) * cs), float((row + rng.random()) * cs))
+        row, col = divmod(d_cell, world.cols)
+        dest = (float((col + rng.random()) * cs), float((row + rng.random()) * cs))
+        delta_true = float(rng.uniform(config.bid_low, config.bid_high))
+        riders.append(RiderRequest(
+            id=f"r{epoch}_{k}", origin=origin, dest=dest,
+            route=ref_route(world, origin, dest),
+            delta_true=delta_true, delta_reported=delta_true, epoch=epoch))
+    return riders
+
+
+def ref_reposition_vacant(drivers, world, model, dt_hours, speed_kmh,
+                          radius_km=3.0):
+    for d in drivers:
+        if d.status is not DriverStatus.VACANT:
+            continue
+        dists = np.linalg.norm(world.centroids - np.asarray(d.location), axis=1)
+        nearby = np.flatnonzero(dists <= radius_km)
+        if nearby.size == 0:
+            continue
+        best = min(nearby, key=lambda g: (-model.prospects[g], dists[g], g))
+        if best == ref_cell_of(world, d.location):
+            continue
+        target = world.centroids[best]
+        step = speed_kmh * dt_hours
+        gap = float(dists[best])
+        if gap <= step:
+            d.location = (float(target[0]), float(target[1]))
+        else:
+            frac = step / gap
+            d.location = (d.location[0] + frac * (target[0] - d.location[0]),
+                          d.location[1] + frac * (target[1] - d.location[1]))
+
+
+def ref_route(world, origin, dest):
+    for p in (origin, dest):
+        if not world.contains(p):
+            raise GeometryError(f"point {p} outside grid extent {world.extent}")
+    x0, y0 = origin
+    x1, y1 = dest
+    h = math.hypot(x1 - x0, y1 - y0)
+    if h < _EPS:
+        return CellRoute(cells=(ref_cell_of(world, origin),), length=0.0)
+    ts = {0.0, 1.0}
+    cs = world.cell_size
+    for k in range(1, world.cols):
+        t = _crossing_param(x0, x1, k * cs)
+        if t is not None:
+            ts.add(t)
+    for k in range(1, world.rows):
+        t = _crossing_param(y0, y1, k * cs)
+        if t is not None:
+            ts.add(t)
+    ts = sorted(ts)
+    at = lambda t: (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+    ordered, seen = [], set()
+
+    def _add(cells):
+        for c in cells:
+            if c not in seen:
+                seen.add(c)
+                ordered.append(c)
+
+    for i in range(len(ts) - 1):
+        mid = 0.5 * (ts[i] + ts[i + 1])
+        _add(ref_cells_touching(world, at(mid)))
+        if i + 1 < len(ts) - 1:
+            _add(ref_cells_touching(world, at(ts[i + 1])))
+    return CellRoute(cells=tuple(ordered), length=h)
+
+
+def ref_build_candidates(drivers, riders, world, rates, prospect_model,
+                         coverage, sensing_params, radius):
+    taus = {}
+    for d in drivers:
+        for r in riders:
+            t = math.dist(d.location, r.origin)
+            if t <= radius + _TOL:
+                taus[(d.id, r.id)] = t
+    tau_min_d, tau_min_r = {}, {}
+    for (did, rid), t in taus.items():
+        tau_min_d[did] = min(tau_min_d.get(did, math.inf), t)
+        tau_min_r[rid] = min(tau_min_r.get(rid, math.inf), t)
+    rider_info = {}
+    for r in riders:
+        if r.id not in tau_min_r:
+            continue
+        dest_cell = ref_cell_of(world, r.dest)
+        f = opportunity_cost(prospect_model, prospect_model.prospects[dest_cell])
+        zeta = sensing_mod.marginal_gain(sensing_params, coverage, r.route.cells)
+        rider_info[r.id] = (r, f, zeta)
+    edges = []
+    for d in drivers:
+        for r in riders:
+            t = taus.get((d.id, r.id))
+            if t is None:
+                continue
+            rr, f, zeta = rider_info[r.id]
+            P_d = market.driver_valuation(rates, rr.route.length, d.b_reported,
+                                          t, tau_min_d[d.id], f)
+            P_r = market.rider_valuation(rates, rr.route.length,
+                                         rr.delta_reported, t, tau_min_r[r.id])
+            edges.append(CandidateEdge(driver=d.id, rider=r.id, tau=t,
+                                       P_d=P_d, P_r=P_r, zeta=zeta,
+                                       h_r=rr.route.length))
+    return edges
+
+
+# --- helpers ----------------------------------------------------------------
+
+ZERO_DENSITY_WORLD = {"rows": 4, "cols": 4,
+                      "densities": [0.0, 1.0, 0.0, 3.0, 0.0, 0.0, 2.0, 0.0,
+                                    0.5, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0]}
+
+
+def random_point(world, rng):
+    ex, ey = world.extent
+    return float(rng.uniform(0, ex)), float(rng.uniform(0, ey))
+
+
+def same_floats(a, b):
+    """Bit-equal float sequences: equal values and equal signs of zero."""
+    return len(a) == len(b) and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(a, b))
+
+
+# --- build_grid ---------------------------------------------------------------
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (5, 1), (3, 3), (7, 4)])
+@pytest.mark.parametrize("size", [1.0, 0.3, 0.7, 2.5])
+def test_max_centroid_dist_equals_pairwise_maximum(rows, cols, size):
+    world = build_grid(rows, cols, size, [1.0] * (rows * cols))
+    assert world.max_centroid_dist == ref_max_centroid_dist(world)
+
+
+def test_cells_of_matches_cell_of_rule():
+    world = build_grid(5, 7, 0.3, [1.0] * 35)
+    rng = np.random.default_rng(4)
+    ex, ey = world.extent
+    grid_x = [k * 0.3 for k in range(8)] + [-_EPS / 2, ex + _EPS / 2]
+    grid_y = [k * 0.3 for k in range(6)] + [-_EPS / 2, ey + _EPS / 2]
+    points = [random_point(world, rng) for _ in range(2000)]
+    points += list(itertools.product(grid_x, grid_y))
+    got = world.cells_of(points).tolist()
+    assert got == [ref_cell_of(world, p) for p in points]
+    assert [world.cell_of(p) for p in points] == got
+    for bad in [(-1e-6, 0.5), (0.5, ey + 1e-6), (math.nan, 0.5)]:
+        with pytest.raises(GeometryError):
+            world.cells_of(points[:3] + [bad])
+
+
+# --- (a) demand draws -------------------------------------------------------
+
+@pytest.mark.parametrize("world", [load_world(default_world())[0],
+                                   load_world(ZERO_DENSITY_WORLD)[0]],
+                         ids=["default-8x8", "zero-density"])
+def test_demand_cdf_draws_equal_rng_choice(world):
+    new, old = np.random.default_rng(11), np.random.default_rng(11)
+    cdf = world.demand_cdf
+    got = [int(cdf.searchsorted(new.random(), side="right"))
+           for _ in range(20_000)]
+    want = [int(old.choice(world.n_cells, p=world.densities))
+            for _ in range(20_000)]
+    assert got == want
+    assert new.random() == old.random()
+    assert all(world.densities[c] > 0 for c in set(got))
+
+
+@pytest.mark.parametrize("doc", [default_world(), default_world(3, 5),
+                                 ZERO_DENSITY_WORLD],
+                         ids=["8x8", "3x5", "zero-density"])
+@pytest.mark.parametrize("scenario", [1, 3])
+def test_generate_demand_equals_reference(doc, scenario):
+    config = ScenarioConfig(world=doc, demand_scenario=scenario,
+                            requests_per_hour=300.0)
+    world, model = load_world(doc)
+    for epoch in range(8):
+        new = np.random.default_rng([scenario, epoch])
+        old = np.random.default_rng([scenario, epoch])
+        got = generate_demand(config, world, model, epoch, new)
+        want = ref_generate_demand(config, world, model, epoch, old)
+        assert [(r.id, r.origin, r.dest, r.route, r.delta_true) for r in got] \
+            == [(r.id, r.origin, r.dest, r.route, r.delta_true) for r in want]
+        assert new.random() == old.random()
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 8), (1, 5)])   # 1x5: q hits a cell
+def test_low_cells_are_the_bottom_prospect_quartile(rows, cols):
+    world, model = load_world(default_world(rows, cols))
+    want = np.flatnonzero(model.prospects <= np.quantile(model.prospects, 0.25))
+    assert model.low_cells.tolist() == want.tolist()
+
+
+# --- (b) repositioning ------------------------------------------------------
+
+def fleet(points, statuses=None):
+    statuses = statuses or [DriverStatus.VACANT] * len(points)
+    return [DriverState(id=f"d{i}", location=p, b_true=1.0, b_reported=1.0,
+                        status=s)
+            for i, (p, s) in enumerate(zip(points, statuses))]
+
+
+def assert_reposition_equal(points, world, model, radius_km, statuses=None,
+                            dt_hours=200.0 / 3600.0, speed_kmh=35.0):
+    got, want = fleet(points, statuses), fleet(points, statuses)
+    reposition_vacant(got, world, model, dt_hours, speed_kmh, radius_km)
+    ref_reposition_vacant(want, world, model, dt_hours, speed_kmh, radius_km)
+    assert same_floats([c for d in got for c in d.location],
+                       [c for d in want for c in d.location])
+    return got
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("radius_km", [0.4, 1.0, 3.0])
+def test_reposition_equals_reference_on_random_fleets(seed, radius_km):
+    world, model = load_world(default_world())
+    rng = np.random.default_rng(seed)
+    points = [random_point(world, rng) for _ in range(200)]
+    statuses = [DriverStatus.VACANT if rng.random() < 0.8
+                else DriverStatus.IN_SERVICE for _ in points]
+    assert_reposition_equal(points, world, model, radius_km, statuses)
+    # A long epoch lets some drivers reach their target centroid.
+    assert_reposition_equal(points, world, model, radius_km, statuses,
+                            dt_hours=0.05)
+
+
+def test_reposition_equals_reference_on_built_ties():
+    # Uniform symmetric 3x3 world; cells 3 and 5 (left and right of the
+    # centre) share the top prospect, so a driver on the vertical centre
+    # line is equally far from both and the tie goes to the lower id.
+    world, model = load_world({"rows": 3, "cols": 3, "densities": [1.0] * 9})
+    prospects = model.prospects.copy()
+    prospects[3] = prospects[5] = prospects.max() + 0.1
+    tied = type(model)(xi=model.xi, p_star_frac=model.p_star_frac,
+                       prospects=prospects, p_min=model.p_min,
+                       p_max=float(prospects.max()), low_cells=model.low_cells)
+    rng = np.random.default_rng(5)
+    points = [(1.5, float(y)) for y in rng.uniform(0, 3, 100)]
+    points += [(1.5, 1.5), (1.5, 0.0), (1.5, 3.0)]
+    moved = assert_reposition_equal(points, world, tied, radius_km=3.0)
+    assert all(d.location[0] < 1.5 for d in moved)   # all toward cell 3
+    # Drivers with no centroid in radius stay where they are.
+    corners = [(0.0, 0.0), (3.0, 3.0), (0.0, 3.0), (3.0, 0.0)]
+    points = corners + [random_point(world, rng) for _ in range(196)]
+    assert_reposition_equal(points, world, tied, radius_km=0.5)
+    assert_reposition_equal(points, world, model, radius_km=0.0)
+
+
+def test_reposition_handles_an_empty_or_busy_fleet():
+    world, model = load_world(default_world())
+    assert_reposition_equal([], world, model, 3.0)
+    assert_reposition_equal([(1.0, 1.0)], world, model, 3.0,
+                            [DriverStatus.IN_SERVICE])
+
+
+def test_reposition_rejects_a_driver_outside_the_grid():
+    world, model = load_world(default_world())
+    with pytest.raises(GeometryError):
+        reposition_vacant(fleet([(1.0, 1.0), (-0.5, 1.0)]), world, model,
+                          1.0, 35.0, 3.0)
+
+
+# --- (c) routes -------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [1.0, 0.3])
+def test_route_equals_reference_on_random_segments(size):
+    world = build_grid(8, 6, size, [1.0] * 48)
+    rng = np.random.default_rng(int(size * 10))
+    for _ in range(10_000):
+        a, b = random_point(world, rng), random_point(world, rng)
+        assert route(world, a, b) == ref_route(world, a, b)
+
+
+@pytest.mark.parametrize("size", [1.0, 0.3])
+def test_route_equals_reference_on_grid_lines_and_corners(size):
+    world = build_grid(8, 6, size, [1.0] * 48)
+    ex, ey = world.extent
+    xs = [k * size for k in range(world.cols + 1)]
+    ys = [k * size for k in range(world.rows + 1)]
+    rng = np.random.default_rng(2)
+    segments = []
+    for x in xs:           # along vertical grid lines and across them
+        y0, y1 = rng.uniform(0, ey, 2)
+        segments += [((x, y0), (x, y1)), ((x, y0), (ex - x, y1))]
+    for y in ys:           # along horizontal grid lines
+        x0, x1 = rng.uniform(0, ex, 2)
+        segments += [((x0, y), (x1, y)), ((x0, y), (x1, ey - y))]
+    corners = list(itertools.product(xs, ys))
+    segments += list(itertools.combinations(corners, 2))   # corner to corner
+    for (x, y) in corners:    # through a corner, ending off the grid lines
+        d = size * 0.37
+        for sx, sy in itertools.product((-1, 1), repeat=2):
+            a = (min(ex, max(0.0, x - sx * d)), min(ey, max(0.0, y - sy * d)))
+            b = (min(ex, max(0.0, x + sx * d)), min(ey, max(0.0, y + sy * d)))
+            segments.append((a, b))
+    segments += [((0.0, 0.0), (0.0, 0.0)), ((ex, ey), (ex, ey)),
+                 ((ex, ey), (0.0, 0.0)), ((-_EPS / 2, 0.0), (ex + _EPS / 2, ey))]
+    for a, b in segments:
+        assert route(world, a, b) == ref_route(world, a, b), (a, b)
+
+
+# --- (d) candidate edges ----------------------------------------------------
+
+def candidate_scene(seed, n_drivers, n_riders, radius):
+    world, model = load_world(default_world())
+    rng = np.random.default_rng(seed)
+    coverage = CoverageState(n_cells=world.n_cells, n_intervals=1)
+    coverage.counts[0] = rng.integers(0, 4, world.n_cells)
+    drivers = [DriverState(id=f"d{i}", location=random_point(world, rng),
+                           b_true=1.0, b_reported=float(rng.uniform(1, 2)))
+               for i in range(n_drivers)]
+    riders = []
+    for k in range(n_riders):
+        if k % 3 == 0 and drivers:
+            # On the radius, and 1e-10 on either side of it and of the
+            # radius + 1e-9 cut, measured from a driver.
+            d = drivers[k % len(drivers)].location
+            off = [0.0, 1e-10, -1e-10, _TOL, _TOL + 1e-10, _TOL - 1e-10][k % 6]
+            angle = rng.uniform(0, 2 * math.pi)
+            o = (d[0] + (radius + off) * math.cos(angle),
+                 d[1] + (radius + off) * math.sin(angle))
+            if not world.contains(o):
+                o = (d[0] + radius + off, d[1]) if d[0] < 4 else \
+                    (d[0] - radius - off, d[1])
+        else:
+            o = random_point(world, rng)
+        dest = random_point(world, rng)
+        delta = float(rng.uniform(1, 2))
+        riders.append(RiderRequest(id=f"r{k}", origin=o, dest=dest,
+                                   route=route(world, o, dest),
+                                   delta_true=delta,
+                                   delta_reported=delta + rng.uniform(0, 0.5)))
+    return (drivers, riders, world, RATES, model, coverage,
+            SensingParams(exponent=0.2), radius)
+
+
+def edge_fields(e):
+    return [e.tau, e.P_d, e.P_r, e.zeta, e.h_r]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_build_candidates_equals_reference(seed, radius):
+    for n_drivers, n_riders in [(0, 5), (5, 0), (1, 1), (20, 12), (60, 30)]:
+        args = candidate_scene(seed, n_drivers, n_riders, radius)
+        got = build_candidates(*args).edges
+        want = ref_build_candidates(*args)
+        assert [e.pair for e in got] == [e.pair for e in want]
+        assert same_floats([x for e in got for x in edge_fields(e)],
+                           [x for e in want for x in edge_fields(e)])
+
+
+def test_build_candidates_keeps_exact_radius_boundary():
+    world, model = load_world(default_world())
+    coverage = CoverageState(n_cells=world.n_cells, n_intervals=1)
+    d = DriverState(id="d", location=(1.0, 1.0), b_true=1.0, b_reported=1.0)
+    offsets = [0.0, 1e-10, -1e-10, _TOL - 1e-10, _TOL + 1e-10, 2 * _TOL]
+    riders = [RiderRequest(id=f"r{k}", origin=(3.0 + off, 1.0), dest=(5.5, 5.5),
+                           route=route(world, (3.0 + off, 1.0), (5.5, 5.5)),
+                           delta_true=1.0, delta_reported=1.0)
+              for k, off in enumerate(offsets)]
+    args = ([d], riders, world, RATES, model, coverage,
+            SensingParams(exponent=0.2), 2.0)
+    got = build_candidates(*args).edges
+    assert [e.rider for e in got] == ["r0", "r1", "r2", "r3"]
+    assert got == ref_build_candidates(*args)
