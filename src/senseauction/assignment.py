@@ -32,12 +32,24 @@ Which path runs:
   matching, rider id for a best_for_set result.
 - DS removal marginals (sensing_marginals): each removal is a pass-1 search
   over a slice of the settle's _Instance (_removals), so it sees exactly
-  the arrays a rebuilt reduced index would hold. It starts from an incumbent, the optimal rider set R* for a driver
-  removal and R* less the rider for a rider removal, kept only if it meets
-  the welfare floor, and ends once it reaches the full optimum U* (within
-  1e-12). That is exact: removing a participant only deletes feasible
-  matchings, so no removal's optimum exceeds U*. Most driver removals cost
-  one LSA.
+  the arrays a rebuilt reduced index would hold. It starts from an
+  incumbent, the optimal rider set R* for a driver removal and R* less the
+  rider for a rider removal, kept only if it meets the welfare floor, and
+  ends once it reaches the full optimum U* (within 1e-12). That is exact:
+  removing a participant only deletes feasible matchings, so no removal's
+  optimum exceeds U*. Most driver removals cost one LSA.
+- Row cut (_Instance.search_rows), once per settle when there are more
+  than n_c + 1 drivers for n_c riders: removal searches keep only the
+  rows among some rider's n_c + 1 best drivers by sigma (ties to the lower
+  row). zeta is one value per rider, so within a column every weight the
+  search uses ranks rows as sigma does (zeta + lam * sigma,
+  max(zeta + lam * sigma, 0), max(sigma, 0), sigma + big; a missing edge
+  ranks last). A matching serves at most n_c columns, so it can move each
+  column onto a free row among that column's top n_c without losing
+  weight, and the extra row covers a driver removal that deletes one of
+  them. The bounds and big still count every row, and the solve keeps all
+  rows: in a tie an LSA may pick another matching, which would reorder
+  the float sums that pass 2 compares.
 - Floor bound (_FloorBound): the zeta bound, prefix sums, cannot see the
   welfare floor. Lagrangian relaxation of the floor can: for lam >= 0,
   sum(zeta) <= max over matchings of sum(zeta + lam * sigma) for every
@@ -47,9 +59,22 @@ Which path runs:
   (_Instance.floor_multiplier, a few LSAs) and kept on the settle's
   _Instance, never on the problem; the solve, pass 2 and every removal
   share it. A search turns the bound on after _LAGRANGE_AFTER nodes. A
-  child whose parent's Lagrangian matching still fits it inherits the bound
-  without an LSA, and an inner node whose held matching has welfare >=
-  _FLOOR_SLACK skips relaxed_sigma, which it would pass for sure.
+  child whose parent's Lagrangian matching still fits it (the riders it
+  serves stay in, the others out) inherits the bound without an LSA, and
+  an inner node whose held matching has welfare >= _FLOOR_SLACK skips
+  relaxed_sigma, which it would pass for sure.
+- Inherited welfare test: in pass 1 and every removal, relaxed_sigma's
+  matching passes to a child by the same rule, when its welfare is >=
+  _FLOOR_SLACK, and that child runs no welfare LSA. The matching still
+  fits the child, so the child's optimum is at least its welfare, which
+  leaves the big-M rounding (~1e-7) far from the -1e-9 test.
+- Integral path (_Instance.zeta_integral, once per index): when every
+  zeta is a whole number, every feasible sensing total is an integer, so a
+  subtree can beat best_p only by a whole unit and pass 1 prunes when the
+  Lagrangian bound is below best_p + 1. A removal search there also holds
+  the bound from the root and takes first the branch its held matching
+  takes. Such an index is a run's first epoch, before any cell is covered.
+  Other indexes keep _LAGRANGE_AFTER and 'in' before 'out'.
 - Prune-only rule: the bound removes only subtrees in which the search
   without it would accept no leaf (pass 1) or tie-break no rider set
   (pass 2), with slack for the floor's 1e-9 tolerance and the big-M
@@ -66,6 +91,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -80,7 +106,8 @@ _PRUNE_TOL = 1e-12
 # nodes. Measured in LSA calls per settle: from 8 down, searches too short to
 # repay the multiplier and the bound's own solves add 3-10% on 8x8 markets;
 # from 32 up, the bound starts late on 150-driver ds markets (stress18-vcg-e10:
-# 329 LSAs at 16, 399 at 32, 419 without the bound).
+# 329 LSAs at 16, 399 at 32, 419 without the bound). Removal searches on an
+# integral index hold it from the root instead; inf turns it off everywhere.
 _LAGRANGE_AFTER = 16
 # Welfare margin between the Lagrangian tests and the big-M welfare
 # relaxation (relaxed_sigma) they must agree with. That relaxation rounds
@@ -292,12 +319,12 @@ def _removals(index, problem: MatchingProblem, participants):
         rows, cols = all_rows, all_cols
         if p in index.d_index:
             i = index.d_index[p]
-            rows = np.delete(all_rows, i)
-            cols = np.flatnonzero(n_col > has_edge[i])
+            rows = all_rows[all_rows != i]
+            cols = (n_col > has_edge[i]).nonzero()[0]
         elif p in index.r_index:
             j = index.r_index[p]
-            rows = np.flatnonzero(n_row > has_edge[:, j])
-            cols = np.delete(all_cols, j)
+            rows = (n_row > has_edge[:, j]).nonzero()[0]
+            cols = all_cols[all_cols != j]
         yield p, rows, cols
 
 
@@ -336,8 +363,8 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
             out[p] = 0.0
             continue
         out[p], _ = _optimal_primary_riders(
-            _RiderSearch(index, rows, cols), incumbent=optimal_set - {p},
-            target=solution.objective_value)
+            _RiderSearch(index, rows, cols, index.search_rows),
+            incumbent=optimal_set - {p}, target=solution.objective_value)
     return out
 
 
@@ -493,7 +520,9 @@ class _Instance:
     objects. The sensing program's zr (each rider's zeta) and z_raw (each
     edge's) are built on first use: a rider with two zeta values raises
     ContractError there, and the welfare program never reads them; its
-    core (the pick and both core points) is built on first use too.
+    core (the pick and both core points) is built on first use too. So are
+    what the sensing searches share: the rider order, zeta_integral and
+    the removal searches' search_rows.
     """
 
     def __init__(self, edges):
@@ -521,6 +550,41 @@ class _Instance:
             if zr.setdefault(e.rider, e.zeta) != e.zeta:
                 raise ContractError(f"rider {e.rider!r} has two zeta values")
         return zr
+
+    @cached_property
+    def rider_ids(self) -> list[str]:
+        """Each column's rider id."""
+        return list(self.r_index)
+
+    @cached_property
+    def rider_order(self) -> list[str]:
+        """The riders in the searches' (-zeta, id) order."""
+        zr = self.zr
+        return sorted(self.r_index, key=lambda r: (-zr[r], r))
+
+    @cached_property
+    def zeta_integral(self) -> bool:
+        """Every rider's zeta is a whole number, and so is every sum of them
+        in float: a feasible sensing total is then an integer."""
+        zeta = self.zr.values()
+        return (all(z.is_integer() for z in zeta)
+                and sum(map(abs, zeta)) < 2.0 ** 52)
+
+    @cached_property
+    def search_rows(self) -> np.ndarray | None:
+        """The rows a removal search keeps, as a mask, or None for all of
+        them: each column's n_c + 1 best edges by sigma, for n_c columns.
+        Cut only when there are more than n_c + 1 rows (see the module
+        docstring for why it is exact)."""
+        n_d, n_c = self.s_raw.shape
+        if n_d <= n_c + 1:
+            return None
+        # Ties go to the lower row, as they tend to in the LSA on all rows.
+        key = np.where(self.has_edge, -self.s_raw, np.inf)
+        top = np.argsort(key, axis=0, kind="stable")[:n_c + 1]
+        keep = np.zeros(n_d, dtype=bool)
+        keep[top[self.has_edge[top, np.arange(n_c)]]] = True
+        return None if keep.all() else keep
 
     @cached_property
     def z_raw(self) -> np.ndarray:
@@ -579,8 +643,7 @@ class _Instance:
         return self._floor_lam
 
 
-@dataclass(frozen=True)
-class _Relaxed:
+class _Relaxed(NamedTuple):
     """One Lagrangian node solve: its value, the riders its matching serves
     beyond the forced ones, the matching's cells and its welfare."""
     value: float
@@ -610,28 +673,33 @@ class _FloorBound:
     def __init__(self, s_raw, has_edge, r_index, zr, lam: float):
         self.lam = lam
         self.s_raw = s_raw
-        zeta = np.zeros(has_edge.shape[1])
+        n_c = has_edge.shape[1]
+        self.zeta = zeta = np.zeros(n_c)
         for r, j in r_index.items():
             zeta[j] = zr[r]
         w = zeta[None, :] + lam * s_raw
-        # [forced?, column, row], so a node's matrix is one gather.
-        self.by_status = np.stack((np.where(has_edge, np.maximum(w, 0.0), 0.0).T,
-                                   np.where(has_edge, w, -np.inf).T))
+        # Undecided columns, then forced ones, so a node's matrix is one
+        # gather.
+        self.weights = np.empty((s_raw.shape[0], 2 * n_c))
+        self.weights[:, :n_c] = np.where(has_edge, np.maximum(w, 0.0), 0.0)
+        self.weights[:, n_c:] = np.where(has_edge, w, -np.inf)
         # An undecided column that no edge gives a positive weight is never
         # served, so it is left out of every solve.
-        self.useful = self.by_status[0].max(axis=1, initial=0.0) > 0.0
+        self.useful = (self.weights[:, :n_c].max(axis=0, initial=0.0)
+                       > 0.0).tolist()
         scale = float(np.abs(w[has_edge]).max(initial=0.0))
         self.slack = (lam * _FLOOR_SLACK
-                      + 1e-12 * (1.0 + has_edge.shape[1] * scale))
+                      + 1e-12 * (1.0 + n_c * scale))
 
     def __call__(self, forced_cols, open_cols) -> _Relaxed | None:
-        n_f = len(forced_cols)
-        cols = forced_cols + [j for j in open_cols if self.useful[j]]
-        n_d, n_c = self.s_raw.shape[0], len(cols)
+        n_f, useful = len(forced_cols), self.useful
+        cols = forced_cols + [j for j in open_cols if useful[j]]
+        (n_d, n_all), n_c = self.s_raw.shape, len(cols)
         if n_c == 0:
             return _Relaxed(0.0, frozenset(), np.empty(0, int),
                             np.empty(0, int), 0.0)
-        w = self.by_status[[1] * n_f + [0] * (n_c - n_f), cols].T
+        w = self.weights.take([j + n_all for j in forced_cols] + cols[n_f:],
+                              axis=1)
         if n_d < n_c:
             pad = np.zeros((n_c - n_d, n_c))
             pad[:, :n_f] = -np.inf
@@ -658,42 +726,62 @@ class _RiderSearch:
     columns), 'in' before 'out'. zeta_bound is the prefix-sum bound on what
     the undecided riders can add. relaxed_sigma is the big-M welfare
     relaxation at the current status (0 undecided, 1 in, 2 out), and
-    best_for_set tie-breaks one fixed rider set.
+    best_for_set tie-breaks one fixed rider set. A slice may also drop the
+    rows outside `cut` (_Instance.search_rows); n_d and big still count
+    them, so every bound and total is that of the uncut slice.
     """
 
-    def __init__(self, inst: _Instance, rows=None, cols=None):
+    def __init__(self, inst: _Instance, rows=None, cols=None, cut=None):
         grid, self.r_index = (slice(None), slice(None)), inst.r_index
+        order = inst.rider_order
         if rows is not None:
-            grid, riders = np.ix_(rows, cols), list(inst.r_index)
-            self.r_index = {riders[j]: c for c, j in enumerate(cols)}
+            grid, riders = (rows[:, None], cols), inst.rider_ids
+            self.r_index = {riders[j]: c for c, j in enumerate(cols.tolist())}
+            order = [r for r in order if r in self.r_index]
+        s_raw = inst.s_raw[grid]
+        self.n_d = s_raw.shape[0]
+        self.big = 1000.0 * (1.0 + float(np.abs(s_raw).sum()))
+        if cut is not None and not (kept := cut[rows]).all():
+            grid, s_raw = (rows[kept][:, None], cols), s_raw[kept]
         self.s_raw, self.has_edge, self.by_pair = (
-            inst.s_raw[grid], inst.has_edge[grid], inst.by_pair[grid])
+            s_raw, inst.has_edge[grid], inst.by_pair[grid])
+        self._weights = None
         self.zr = zr = inst.zr
+        self.integral = inst.zeta_integral
         self.floor_lam = inst.floor_multiplier
-        self.riders = sorted(self.r_index, key=lambda r: (-zr[r], r))
-        self.zeta = [zr[r] for r in self.riders]
-        self.r_idx = [self.r_index[r] for r in self.riders]
-        self.suffix = suffix = [0.0] * (len(self.riders) + 1)
-        for k in range(len(self.riders) - 1, -1, -1):
+        self.riders = order
+        self.zeta = [zr[r] for r in order]
+        self.r_idx = [self.r_index[r] for r in order]
+        self.suffix = suffix = [0.0] * (len(order) + 1)
+        for k in range(len(order) - 1, -1, -1):
             suffix[k] = suffix[k + 1] + max(self.zeta[k], 0.0)
-        self.big = 1000.0 * (1.0 + float(np.abs(self.s_raw).sum()))
-        self.required_edge = np.where(self.has_edge, self.s_raw + self.big,
-                                      -self.big)
-        self.optional_edge = np.where(self.has_edge,
-                                      np.maximum(self.s_raw, 0.0), 0.0)
         self.status = [0] * len(self.riders)
         self.nodes = 0
         self.lag = None
 
+    def edge_weights(self) -> np.ndarray:
+        """The welfare relaxation's weights, built on first use: optional
+        columns then required ones, so a node's matrix is one gather. An
+        optional edge carries max(sigma, 0) (0 off the edges, where s_raw is
+        0), a required one sigma + big (-big off the edges)."""
+        if self._weights is None:
+            n_c = self.s_raw.shape[1]
+            w = np.empty((self.s_raw.shape[0], 2 * n_c))
+            np.maximum(self.s_raw, 0.0, out=w[:, :n_c])
+            w[:, n_c:] = np.where(self.has_edge, self.s_raw + self.big,
+                                  -self.big)
+            self._weights = w
+        return self._weights
+
     def zeta_bound(self, k, n_in, cur_p):
         # Riders come in descending zeta: the suffix's top is its prefix.
-        take = min(self.s_raw.shape[0] - n_in, len(self.riders) - k)
+        take = min(self.n_d - n_in, len(self.riders) - k)
         return cur_p + (self.suffix[k] - self.suffix[k + take])
 
     def _relax(self, w, n_req):
         """The welfare relaxation's one sum: (total, rows, cols) of one LSA
-        on w, n_req of whose columns are required (required_edge). total is
-        None when a required column is left unmatched or matched on a
+        on w, n_req of whose columns are required (edge_weights). total
+        is None when a required column is left unmatched or matched on a
         missing edge, which shows up as a missing +big term."""
         ri, ci = linear_sum_assignment(w, maximize=True)
         total = float(w[ri, ci].sum())
@@ -701,43 +789,54 @@ class _RiderSearch:
             return None, ri, ci
         return total - n_req * self.big, ri, ci
 
-    def relaxed_sigma(self, with_pairs=False):
+    def relaxation(self, cells=True):
         """Max welfare with 'in' riders forced, undecided ones optional and
         'out' ones removed, or None when no matching serves the 'in' riders;
-        it bounds the welfare of every completion. With `with_pairs`, also
-        the matching: the LSA's positive-weight cells, in row order."""
-        cols = [(st, j) for st, j in zip(self.status, self.r_idx) if st != 2]
-        if not cols:
-            return 0.0, ()
-        w = np.empty((self.s_raw.shape[0], len(cols)))
-        for c, (st, j) in enumerate(cols):
-            w[:, c] = (self.optional_edge, self.required_edge)[st][:, j]
+        it bounds the welfare of every completion. With `cells`, also the
+        LSA's positive-weight cells as (rows, cols), in row order."""
+        n_c = self.s_raw.shape[1]
+        idx = [j + n_c * st for st, j in zip(self.status, self.r_idx)
+               if st != 2]
+        if not idx:
+            return 0.0, np.empty(0, int), np.empty(0, int)
+        w = self.edge_weights().take(idx, axis=1)
         total, ri, ci = self._relax(w, self.status.count(1))
+        if total is None or not cells:
+            return total, None, None
+        keep = w[ri, ci] > 0.0
+        return total, ri[keep], np.asarray(idx)[ci[keep]] % n_c
+
+    def relaxed_sigma(self, with_pairs=False):
+        """relaxation()'s total and, with `with_pairs`, its matching."""
+        total, rows, cols = self.relaxation(cells=with_pairs)
         if total is None or not with_pairs:
             return total, ()
-        keep = w[ri, ci] > 0.0
-        js = np.array([j for _, j in cols])
-        return total, tuple(self.by_pair[ri[keep], js[ci[keep]]])
+        return total, tuple(self.by_pair[rows, cols])
 
-    def run(self, open_node, visit):
+    def run(self, open_node, visit, root=False):
         """Walk the rider subsets depth first.
 
         open_node(k, n_in, cur_p) is a node's zeta test, before it counts.
-        After _LAGRANGE_AFTER counted nodes the search holds a _FloorBound,
-        and each node a Lagrangian matching `held`: its parent's when that
-        still fits (served riders stay in, unserved ones out), else one
-        solve, and no matching prunes the node. visit(k, cur_p, held, fresh)
-        then runs the node's floor tests and, at k == len(riders), its leaf;
-        it returns False to prune.
+        After _LAGRANGE_AFTER counted nodes (from the root with `root`,
+        unless _LAGRANGE_AFTER is inf) the search holds a _FloorBound, and
+        each node a Lagrangian matching `held`: its parent's when that still
+        fits (served riders stay in, unserved ones out), else one solve, and
+        no matching prunes the node. visit(k, cur_p, held, fresh, fit) then
+        runs the node's floor tests and, at k == len(riders), its leaf. It
+        returns False to prune, else the served columns of a matching that
+        passes the welfare test with room to spare, or None: a child keeps
+        that `fit` by the same rule as `held`. With `root` a node takes
+        first the branch that `held` takes.
         """
-        n_d, n = self.s_raw.shape[0], len(self.riders)
+        n_d, n = self.n_d, len(self.riders)
+        after = 0 if root and _LAGRANGE_AFTER < math.inf else _LAGRANGE_AFTER
         status, r_idx = self.status, self.r_idx
 
-        def recurse(k, n_in, cur_p, held):
+        def recurse(k, n_in, cur_p, held, fit):
             if not open_node(k, n_in, cur_p):
                 return
             self.nodes += 1
-            if self.nodes > _LAGRANGE_AFTER and self.lag is None:
+            if self.nodes > after and self.lag is None:
                 self.lag = _FloorBound(self.s_raw, self.has_edge, self.r_index,
                                        self.zr, self.floor_lam())
             fresh = self.lag is not None and held is None
@@ -746,18 +845,26 @@ class _RiderSearch:
                                 r_idx[k:])
                 if held is None:
                     return
-            if not visit(k, cur_p, held, fresh) or k == n:
+            fit = visit(k, cur_p, held, fresh, fit)
+            if fit is False or k == n:
                 return
             served = held is not None and r_idx[k] in held.served
+            fits = fit is not None and r_idx[k] in fit
+            out_first = root and held is not None and not served
+            if out_first:
+                status[k] = 2
+                recurse(k + 1, n_in, cur_p, held, None if fits else fit)
             if n_in < n_d:
                 status[k] = 1
                 recurse(k + 1, n_in + 1, cur_p + self.zeta[k],
-                        held if served else None)
-            status[k] = 2
-            recurse(k + 1, n_in, cur_p, None if served else held)
+                        held if served else None, fit if fits else None)
+            if not out_first:
+                status[k] = 2
+                recurse(k + 1, n_in, cur_p, None if served else held,
+                        None if fits else fit)
             status[k] = 0
 
-        recurse(0, 0, 0.0, None)
+        recurse(0, 0, 0.0, None, None)
 
     def best_for_set(self, cols: list, best_key, best_chosen):
         """Tie-break-optimal matching covering exactly the given rider
@@ -769,16 +876,18 @@ class _RiderSearch:
         """
         free_d = np.ones(self.s_raw.shape[0], dtype=bool)
         chosen: list[CandidateEdge] = []
-        col_arr = np.asarray(cols, dtype=int)
+        # The required columns of edge_weights.
+        required = np.asarray(cols, dtype=int) + self.s_raw.shape[1]
+        weights = self.edge_weights()
 
         def rest_bound(k):
-            sub_cols = col_arr[k:]
+            sub_cols = required[k:]
             if sub_cols.size == 0:
                 return 0.0
             rows = np.flatnonzero(free_d)
             if rows.size < sub_cols.size:
                 return None
-            return self._relax(self.required_edge[rows[:, None], sub_cols],
+            return self._relax(weights[rows[:, None], sub_cols],
                                sub_cols.size)[0]
 
         def recurse(k, cur_v, cur_t):
@@ -826,9 +935,14 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
     bound would let no leaf beat best_p either, so the full solve returns
     the same matching; a removal search, which needs only the value, also
     takes a node's Lagrangian matching as its incumbent when that matching
-    meets the floor.
+    meets the floor. On an integral index (_Instance.zeta_integral) a better
+    leaf gains at least 1, so the test grants a whole unit, and a removal
+    search holds the bound from the root and takes the held matching's
+    branch first.
     """
     s = search
+    removal = target < math.inf
+    gain = 1.0 if s.integral else _PRUNE_TOL
     best_p = 0.0
     best_chosen: tuple[CandidateEdge, ...] = ()
     if incumbent:
@@ -848,31 +962,43 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
         return (best_p < stop
                 and s.zeta_bound(k, n_in, cur_p) > best_p + _PRUNE_TOL)
 
-    def visit(k, cur_p, held, fresh):
+    def visit(k, cur_p, held, fresh, fit):
         nonlocal best_p, best_chosen
         if held is not None:
-            if fresh and target < math.inf and held.sigma >= -_TOL:
+            # The canonical sum sorts the pairs, so first ask whether any
+            # order of the sum could beat best_p.
+            if (fresh and removal and held.sigma >= -_TOL
+                    and float(s.lag.zeta[held.cols].sum())
+                    > best_p - _TOL * (1.0 + best_p)):
                 pairs = tuple(s.by_pair[held.rows, held.cols])
                 p_held = _canonical_sum(pairs, "zeta")
                 if p_held > best_p:
                     best_p, best_chosen = p_held, pairs
                     if best_p >= stop:
                         return False
-            if held.value + s.lag.slack <= best_p + _PRUNE_TOL:
+            if held.value + s.lag.slack < best_p + gain:
                 return False
         leaf = k == len(s.riders)
-        # A held matching with welfare >= _FLOOR_SLACK passes this test for
-        # sure, so an inner node need not run it.
-        if leaf or held is None or held.sigma < _FLOOR_SLACK:
-            sig, pairs = s.relaxed_sigma(with_pairs=leaf)
+        if leaf:
+            sig, pairs = s.relaxed_sigma(with_pairs=True)
             if sig is None or sig < -_TOL:
                 return False
-        if leaf and cur_p > best_p:
-            # No rider is undecided, so `pairs` serves exactly the 'in' ones.
-            best_p, best_chosen = cur_p, pairs
-        return True
+            if cur_p > best_p:
+                # No rider is undecided, so `pairs` serves exactly the 'in'
+                # ones.
+                best_p, best_chosen = cur_p, pairs
+            return None
+        # A matching with welfare >= _FLOOR_SLACK that still fits the node,
+        # a held one or an inherited `fit`, passes this test for sure.
+        if fit is None and (held is None or held.sigma < _FLOOR_SLACK):
+            sig, _, cols = s.relaxation()
+            if sig is None or sig < -_TOL:
+                return False
+            if sig >= _FLOOR_SLACK:
+                fit = frozenset(cols.tolist())
+        return fit
 
-    s.run(open_node, visit)
+    s.run(open_node, visit, root=removal and s.integral)
     return _canonical_sum(best_chosen, "zeta"), best_chosen
 
 
@@ -901,7 +1027,7 @@ def _pass2_riders(inst: _Instance, p_star: float, seed):
     def open_node(k, n_in, cur_p):
         return s.zeta_bound(k, n_in, cur_p) >= p_star - _PRUNE_TOL
 
-    def visit(k, cur_p, held, fresh):
+    def visit(k, cur_p, held, fresh, fit):
         nonlocal best_key, best_chosen
         if held is not None and (held.value + s.lag.slack
                                  < p_star - _TOL + s.lag.lam * best_key[1]):
@@ -916,7 +1042,7 @@ def _pass2_riders(inst: _Instance, p_star: float, seed):
             cols = [j for j, st in zip(s.r_idx, s.status) if st == 1]
             best_key, best_chosen = s.best_for_set(sorted(cols), best_key,
                                                    best_chosen)
-        return True
+        return None
 
     s.run(open_node, visit)
     return best_chosen

@@ -10,8 +10,11 @@ driver, so the highest-zeta riders cannot all be served.
 """
 
 import dataclasses
+import gzip
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,6 +429,145 @@ def test_floor_multiplier_minimises_the_root_bound():
         assert g(lam)[0] <= min(g(x)[0] for x in grid) + 1e-9
         assert inst.floor_multiplier() == lam   # kept, not recomputed
     assert 0 < feasible_at_zero < 8
+
+
+# --- removal searches: the row cut and the integral path ---------------------
+
+MARKETS = (Path(__file__).resolve().parent.parent / "perfbench" / "data"
+           / "markets")
+
+
+def removal_values(problem):
+    """Every matched participant's removal value from one fresh settle."""
+    problem = MatchingProblem(problem.edges, problem.drivers, problem.riders,
+                              objective=asg.SENSING)
+    index = asg.settle_index(problem)
+    solution = asg.solve(problem, index)
+    participants = solution.matched_drivers + solution.matched_riders
+    return asg.sensing_marginals(problem, solution, participants, index)
+
+
+def top_rows_market():
+    """Two riders and five drivers; each rider's two best drivers are d0 and
+    d1. Removing either leaves one of them, and both riders are still served
+    only through d2, each rider's third-best driver."""
+    sigma = {"r0": (5.0, 4.0, 3.0, 2.0, 1.0), "r1": (5.0, 4.5, 1.0, 0.5, 0.2)}
+    zeta = {"r0": 2.0, "r1": 1.0}
+    edges = [CandidateEdge(f"d{i}", r, 0.5, P_d=1.0, P_r=1.0 + s, zeta=zeta[r])
+             for r, row in sigma.items() for i, s in enumerate(row)]
+    return MatchingProblem(edges, tuple(f"d{i}" for i in range(5)),
+                           ("r0", "r1"), objective=asg.SENSING)
+
+
+def test_row_cut_keeps_every_bound_and_removal_value(sim_markets,
+                                                     monkeypatch):
+    """Removal searches run on each rider's n_c + 1 best drivers by sigma
+    (_Instance.search_rows). On the full index and on removal slices, for
+    random rider statuses, the welfare relaxation and the Lagrangian bound
+    equal those on every row, and are infeasible on the same statuses; every
+    removal value equals the uncut search's and marginal_objective's."""
+    rng = np.random.default_rng(11)
+    top = top_rows_market()
+    cut = compared = infeasible = 0
+    for problem in [copy_of(p) for p in sim_markets] + FLOOR_BINDING + [top]:
+        problem.objective = asg.SENSING
+        index = asg.settle_index(problem)
+        keep = index.search_rows
+        if keep is None:
+            continue
+        cut += 1
+        lam = index.floor_multiplier()
+        n_d, n_c = index.s_raw.shape
+        slices = [(None, np.arange(n_d), np.arange(n_c))]
+        picked = list(rng.choice(problem.drivers + problem.riders, 3))
+        slices += list(asg._removals(index, problem, picked))
+        for _, rows, cols in slices:
+            if not (rows.size and cols.size):
+                continue
+            whole = asg._RiderSearch(index, rows, cols)
+            part = asg._RiderSearch(index, rows, cols, keep)
+            assert part.riders == whole.riders and part.big == whole.big
+            bounds = [asg._FloorBound(s.s_raw, s.has_edge, s.r_index, s.zr,
+                                      lam) for s in (whole, part)]
+            for _ in range(6):
+                status = rng.integers(0, 3, len(whole.riders)).tolist()
+                whole.status[:] = part.status[:] = status
+                sig = [s.relaxed_sigma()[0] for s in (whole, part)]
+                forced = [j for j, st in zip(whole.r_idx, status) if st == 1]
+                undecided = [j for j, st in zip(whole.r_idx, status)
+                             if st == 0]
+                lag = [b(forced, undecided) for b in bounds]
+                assert (sig[0] is None) == (sig[1] is None)
+                assert (lag[0] is None) == (lag[1] is None)
+                if sig[0] is None or lag[0] is None:
+                    infeasible += 1
+                if sig[0] is not None:
+                    assert abs(sig[0] - sig[1]) <= 1e-12
+                if lag[0] is not None:
+                    assert abs(lag[0].value - lag[1].value) <= 1e-12
+                compared += 1
+        got = removal_values(problem)
+        with monkeypatch.context() as m:
+            m.setattr(asg._Instance, "search_rows", None)
+            assert removal_values(problem) == got
+        exact = all(float(e.zeta).is_integer() for e in problem.edges)
+        for p, v in got.items():
+            want = asg.marginal_objective(problem, p)
+            assert v == want if exact else abs(v - want) <= 1e-12, (p, v)
+    assert removal_values(top) == {"d0": 3.0, "d1": 3.0, "r0": 1.0,
+                                   "r1": 2.0}
+    assert cut >= 60 and compared > 1000 and infeasible > 50, (
+        cut, compared, infeasible)
+
+
+def half_zeta_market(seed, n_d, n_r, rider):
+    """floor_binding_market with one rider's zeta set to 2.5."""
+    problem = floor_binding_market(seed, n_d, n_r)
+    edges = [dataclasses.replace(e, zeta=2.5) if e.rider == rider else e
+             for e in problem.edges]
+    return MatchingProblem(edges, problem.drivers, problem.riders,
+                           objective=asg.SENSING)
+
+
+def test_integral_path_equals_per_removal_solves(monkeypatch):
+    """On an index whose every zeta is whole, removal searches hold the
+    Lagrangian bound from the root, prune below best_p + 1 and take the
+    held matching's branch first; their values equal marginal_objective bit
+    for bit, and a seeded sample equals the MILP. One zeta of 2.5 keeps an
+    index off that path: on these markets a whole-unit prune would lose a
+    better rider set, which the MILP of every removal would show."""
+    rng = np.random.default_rng(5)
+    roots = []
+    run = asg._RiderSearch.run
+
+    def spy(self, open_node, visit, root=False):
+        roots.append(root)
+        return run(self, open_node, visit, root)
+
+    monkeypatch.setattr(asg._RiderSearch, "run", spy)
+    with gzip.open(MARKETS / "stress18-e00.json.gz", "rt") as fh:
+        stress = asg.problem_from_json(json.load(fh))
+    half = [half_zeta_market(29, 10, 8, "r0"),
+            half_zeta_market(16, 30, 16, "r1")]
+    for problem in [copy_of(p) for p in SEEDED] + FLOOR_BINDING + [stress]:
+        problem.objective = asg.SENSING
+        assert asg.settle_index(problem).zeta_integral
+        values = removal_values(problem)
+        for p, v in values.items():
+            assert v == asg.marginal_objective(problem, p), (p, v)
+        if problem is not stress:
+            for p in rng.choice(sorted(values), 2, replace=False):
+                assert values[p] == pytest.approx(
+                    milp_sensing(problem.without(p)), abs=1e-9), p
+    assert any(roots)
+    roots.clear()
+    for problem in half:
+        assert not asg.settle_index(problem).zeta_integral
+        for p, v in removal_values(problem).items():
+            assert v == asg.marginal_objective(problem, p), (p, v)
+            assert v == pytest.approx(milp_sensing(problem.without(p)),
+                                      abs=1e-9), (p, v)
+    assert roots and not any(roots)
 
 
 # --- exactness against HiGHS ------------------------------------------------
