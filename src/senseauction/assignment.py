@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -131,6 +131,16 @@ class CandidateEdge:
     zeta: float         # sensing gain of the requested trip
     h_r: float = 0.0    # trip length, needed for the charge floor
 
+    # A frozen dataclass's generated __init__ sets each field through
+    # object.__setattr__, about 2 us an edge, and an epoch builds one edge
+    # per in-radius pair. Filling __dict__ at once costs a quarter of that;
+    # equality, hash, repr, replace, pickling and the frozen fields are the
+    # dataclass's own.
+    def __init__(self, driver: str, rider: str, tau: float, P_d: float,
+                 P_r: float, zeta: float, h_r: float = 0.0):
+        self.__dict__.update(driver=driver, rider=rider, tau=tau, P_d=P_d,
+                             P_r=P_r, zeta=zeta, h_r=h_r)
+
     @property
     def sigma(self) -> float:
         return self.P_r - self.P_d
@@ -146,10 +156,14 @@ class MatchingProblem:
     drivers: tuple[str, ...]
     riders: tuple[str, ...]
     objective: str = WELFARE
+    # Each participant's least in-radius pick-up distance (inf without an
+    # edge), as build_candidates priced the edges with it; empty for a
+    # problem built from edges alone.
+    tau_min: dict[str, float] = field(default_factory=dict, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
-        pairs = [e.pair for e in self.edges]
-        if len(pairs) != len(set(pairs)):
+        if len({(e.driver, e.rider) for e in self.edges}) != len(self.edges):
             raise ContractError("duplicate (driver, rider) edge")
 
     def without(self, participant: str) -> "MatchingProblem":
@@ -186,15 +200,17 @@ def build_candidates(drivers, riders, world: GridWorld, rates: market.Rates,
 
     An edge exists for every (driver, rider) pair within the search radius.
     Minimum pick-up distances are taken over each participant's in-radius
-    counterparts; sensing gains are frozen against the current coverage and
-    never include the pick-up leg.
+    counterparts and kept on the problem (tau_min); sensing gains are
+    frozen against the current coverage and never include the pick-up leg.
     """
     # numpy's hypot can differ from math.dist by an ulp, so it only
     # prefilters, with a margin; tau is math.dist, tested as before.
-    gaps = (np.array([r.origin for r in riders]).reshape(1, -1, 2)
-            - np.array([d.location for d in drivers]).reshape(-1, 1, 2))
+    driver_ids, rider_ids = [d.id for d in drivers], [r.id for r in riders]
+    locs, origins = [d.location for d in drivers], [r.origin for r in riders]
+    gaps = (np.array(origins).reshape(1, -1, 2)
+            - np.array(locs).reshape(-1, 1, 2))
     di, ri = np.nonzero(np.hypot(gaps[..., 0], gaps[..., 1]) <= radius + 2 * _TOL)
-    tau = np.array([math.dist(drivers[i].location, riders[j].origin)
+    tau = np.array([math.dist(locs[i], origins[j])
                     for i, j in zip(di.tolist(), ri.tolist())], dtype=float)
     keep = tau <= radius + _TOL
     di, ri, tau = di[keep], ri[keep], tau[keep]
@@ -217,12 +233,13 @@ def build_candidates(drivers, riders, world: GridWorld, rates: market.Rates,
     delta = np.array([r.delta_reported for r in riders])
     P_d = market.driver_valuation(rates, h_e, b[di], tau, tau_min_d[di], f[ri])
     P_r = market.rider_valuation(rates, h_e, delta[ri], tau, tau_min_r[ri])
-    edges = [CandidateEdge(driver=drivers[i].id, rider=riders[j].id, tau=t,
-                           P_d=pd, P_r=pr, zeta=zeta[j], h_r=h[j])
+    edges = [CandidateEdge(driver_ids[i], rider_ids[j], t, pd, pr, zeta[j], h[j])
              for i, j, t, pd, pr in zip(di.tolist(), ri.tolist(), tau.tolist(),
                                         P_d.tolist(), P_r.tolist())]
-    return MatchingProblem(edges=edges, drivers=tuple(d.id for d in drivers),
-                           riders=tuple(r.id for r in riders))
+    return MatchingProblem(
+        edges=edges, drivers=tuple(driver_ids), riders=tuple(rider_ids),
+        tau_min=dict(zip(driver_ids + rider_ids,
+                         tau_min_d.tolist() + tau_min_r.tolist())))
 
 
 def solve_welfare_max(problem: MatchingProblem,
@@ -527,20 +544,22 @@ class _Instance:
 
     def __init__(self, edges):
         self.edges = edges
-        self.d_index = {d: i for i, d in
-                        enumerate(sorted({e.driver for e in edges}))}
-        self.r_index = {r: i for i, r in
-                        enumerate(sorted({e.rider for e in edges}))}
-        shape = len(self.d_index), len(self.r_index)
-        self.s_raw = np.zeros(shape)
-        self.has_edge = np.zeros(shape, dtype=bool)
+        self.d_index = d_index = {
+            d: i for i, d in enumerate(sorted({e.driver for e in edges}))}
+        self.r_index = r_index = {
+            r: i for i, r in enumerate(sorted({e.rider for e in edges}))}
+        shape = len(d_index), len(r_index)
+        self.s_raw = s_raw = np.zeros(shape)
+        self.has_edge = has_edge = np.zeros(shape, dtype=bool)
         # Pair lookup as an array, so a removal can slice it like the rest.
-        self.by_pair = np.empty(shape, dtype=object)
+        self.by_pair = by_pair = np.empty(shape, dtype=object)
+        # Set edge by edge: on markets of at most 8x8 one array scatter per
+        # array costs more in numpy's fixed cost than it saves.
         for e in edges:
-            i, j = self.d_index[e.driver], self.r_index[e.rider]
-            self.s_raw[i, j] = e.sigma
-            self.has_edge[i, j] = True
-            self.by_pair[i, j] = e
+            ij = d_index[e.driver], r_index[e.rider]
+            s_raw[ij] = e.sigma
+            has_edge[ij] = True
+            by_pair[ij] = e
         self._floor_lam: float | None = None
 
     @cached_property
@@ -879,16 +898,21 @@ class _RiderSearch:
         # The required columns of edge_weights.
         required = np.asarray(cols, dtype=int) + self.s_raw.shape[1]
         weights = self.edge_weights()
+        # rest_bound by (k, free rows): different branches free the same
+        # drivers, and the same LSA input gives the same bound.
+        bounds = {}
 
         def rest_bound(k):
             sub_cols = required[k:]
             if sub_cols.size == 0:
                 return 0.0
-            rows = np.flatnonzero(free_d)
-            if rows.size < sub_cols.size:
-                return None
-            return self._relax(weights[rows[:, None], sub_cols],
-                               sub_cols.size)[0]
+            key = k, free_d.tobytes()
+            if key not in bounds:
+                rows = np.flatnonzero(free_d)
+                bounds[key] = None if rows.size < sub_cols.size else \
+                    self._relax(weights[rows[:, None], sub_cols],
+                                sub_cols.size)[0]
+            return bounds[key]
 
         def recurse(k, cur_v, cur_t):
             nonlocal best_key, best_chosen

@@ -10,7 +10,8 @@ platform revenue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 from .assignment import (SENSING, WELFARE, MatchingProblem, MatchingSolution,
                          sensing_marginals, settle_index, solve,
@@ -151,8 +152,9 @@ def settle_epoch(mechanism: str, problem: MatchingProblem, rates: Rates,
     """
     if mechanism not in (VCG, DS):
         raise ContractError(f"unknown mechanism {mechanism!r}")
-    objective = WELFARE if mechanism == VCG else SENSING
-    problem = replace(problem, objective=objective)
+    # A shallow copy: replace() would run the problem's validation again.
+    problem = copy.copy(problem)
+    problem.objective = WELFARE if mechanism == VCG else SENSING
     index = settle_index(problem)
     solution = solve(problem, index)
     marginals = compute_marginals(problem, solution, index)

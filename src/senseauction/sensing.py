@@ -80,7 +80,7 @@ def marginal_gain(params: SensingParams, state: CoverageState,
     lam = params.exponent
     gain = 0.0
     for g in route_cells:
-        n = counts[g]
+        n = counts.item(g)    # a Python int: numpy scalar arithmetic is slow
         gain += (n + 1.0) ** lam - float(n) ** lam
     return gain
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import pricing
 from .assignment import build_candidates
 from .errors import ConfigurationError, ContractError
-from .gridworld import GridWorld, ProspectModel, build_grid, build_prospect_model, load_world, route
+from .gridworld import GridWorld, ProspectModel, load_world, route
 from .market import DriverState, DriverStatus, Rates, RiderRequest
 from .sensing import (CoverageState, SensingParams, commit_route,
                       total_sensing_utility)
@@ -99,7 +100,9 @@ class ScenarioConfig:
         except ContractError as exc:
             raise ConfigurationError(f"rates: {exc}") from exc
         SensingParams(exponent=self.sensing_exponent)
-        load_world(self.world)
+        # Validating the world builds it, so the run reads this build. A
+        # field assigned later is not validated (replace() is), nor rebuilt.
+        self.built_world = load_world(self.world)
 
     @property
     def effective_remote_frac(self) -> float:
@@ -175,21 +178,23 @@ def generate_demand(config: ScenarioConfig, world: GridWorld,
     bottom-quartile-prospect cells, which makes higher scenarios produce more
     remote (low-prospect) trips.
 
-    A density draw searches world.demand_cdf with one rng.random(). That is
-    how rng.choice(n_cells, p=densities) draws, on the same CDF, so the
-    random stream and every cell are unchanged.
+    A density draw bisects world.demand_cdf (right side, as
+    searchsorted(side="right")) with one rng.random(). That is how
+    rng.choice(n_cells, p=densities) draws, on the same CDF, and a remote
+    draw indexes low_cells with one rng.integers, as rng.choice(low_cells)
+    does; so the random stream and every cell are unchanged.
     """
     mean = config.requests_per_hour / config.epochs_per_interval
     count = int(rng.poisson(mean))
     remote_frac = config.effective_remote_frac
-    cdf = world.demand_cdf
+    cdf, low_cells = world.demand_cdf.tolist(), model.low_cells
     riders = []
     for k in range(count):
-        o_cell = int(cdf.searchsorted(rng.random(), side="right"))
+        o_cell = bisect_right(cdf, rng.random())
         if rng.random() < remote_frac:
-            d_cell = int(rng.choice(model.low_cells))
+            d_cell = int(low_cells[rng.integers(0, len(low_cells))])
         else:
-            d_cell = int(cdf.searchsorted(rng.random(), side="right"))
+            d_cell = bisect_right(cdf, rng.random())
         origin = _point_in_cell(world, o_cell, rng)
         dest = _point_in_cell(world, d_cell, rng)
         delta_true = float(rng.uniform(config.bid_low, config.bid_high))
@@ -248,7 +253,7 @@ def reposition_vacant(drivers, world: GridWorld, model: ProspectModel,
     """
     vacant = [d for d in drivers if d.status is DriverStatus.VACANT]
     locs = np.array([d.location for d in vacant], dtype=float).reshape(-1, 2)
-    dists = np.linalg.norm(world.centroids - locs[:, None, :], axis=2)
+    dists = world.centroid_dists(locs)
     nearby = dists <= radius_km
     top = nearby & (model.prospects == np.where(
         nearby, model.prospects, -np.inf).max(axis=1, keepdims=True))
@@ -276,7 +281,7 @@ class SimulationState:
     def __init__(self, config: ScenarioConfig, mechanism: str):
         self.config = config
         self.mechanism = mechanism
-        self.world, self.prospect_model = load_world(config.world)
+        self.world, self.prospect_model = config.built_world
         self.params = SensingParams(exponent=config.sensing_exponent)
         self.coverage = CoverageState(n_cells=self.world.n_cells,
                                       n_intervals=config.horizon_intervals)
@@ -378,11 +383,7 @@ def _truthful_priced(settlement, problem, drivers_by_id, riders_by_id):
     """
     if not settlement.priced:
         return settlement
-    tau_min_d: dict[str, float] = {}
-    tau_min_r: dict[str, float] = {}
-    for e in problem.edges:
-        tau_min_d[e.driver] = min(tau_min_d.get(e.driver, math.inf), e.tau)
-        tau_min_r[e.rider] = min(tau_min_r.get(e.rider, math.inf), e.tau)
+    tau_min = problem.tau_min     # the pick-up minima build_candidates used
     priced = []
     for m in settlement.priced:
         d = drivers_by_id[m.driver]
@@ -390,9 +391,9 @@ def _truthful_priced(settlement, problem, drivers_by_id, riders_by_id):
         priced.append(replace(
             m,
             P_d=m.P_d - (d.b_reported - d.b_true)
-            * (m.tau - tau_min_d[m.driver]),
+            * (m.tau - tau_min[m.driver]),
             P_r=m.P_r + (r.delta_reported - r.delta_true)
-            * (m.tau - tau_min_r[m.rider])))
+            * (m.tau - tau_min[m.rider])))
     return replace(settlement, priced=tuple(priced))
 
 

@@ -182,6 +182,16 @@ def test_settle_epoch_leaves_the_problem_objective_alone():
             assert p.objective == objective
 
 
+def test_settle_epoch_does_not_validate_the_problem_again(monkeypatch):
+    p = random_priced_problem(np.random.default_rng(41), "welfare")
+    checks = []
+    monkeypatch.setattr(MatchingProblem, "__post_init__",
+                        lambda self: checks.append(self))
+    for mech in (VCG, DS):
+        settle_epoch(mech, p, RATES)
+    assert checks == []
+
+
 def test_settle_epoch_rejects_unknown_mechanism():
     p = MatchingProblem(edges=[], drivers=[], riders=[])
     with pytest.raises(ContractError):

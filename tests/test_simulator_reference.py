@@ -1,27 +1,31 @@
 """The simulator's array layers against the per-point loops they replaced.
 
 Each ref_* function below is the earlier loop implementation, kept here
-only as the reference: demand draws, repositioning, routing and candidate
-construction must return bit-identical floats, in the same order, and
-consume the same random stream.
+only as the reference: demand draws, repositioning, routing, the prospect
+field, sensing gains, candidate construction and the truthful restatement
+must return bit-identical floats, in the same order, and consume the same
+random stream.
 """
 
+import dataclasses
 import itertools
 import math
+import pickle
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from senseauction import market
+from senseauction import market, pricing, simengine
 from senseauction import sensing as sensing_mod
 from senseauction.assignment import CandidateEdge, build_candidates
 from senseauction.errors import GeometryError
-from senseauction.gridworld import (CellRoute, _EPS, _axis_indices,
-                                    _crossing_param, build_grid, load_world,
+from senseauction.gridworld import (CellRoute, _EPS, build_grid, load_world,
                                     opportunity_cost, route)
 from senseauction.market import DriverState, DriverStatus, Rates, RiderRequest
 from senseauction.sensing import CoverageState, SensingParams
-from senseauction.simengine import (ScenarioConfig, default_world,
+from senseauction.simengine import (ScenarioConfig, SimulationState,
+                                    _truthful_priced, default_world,
                                     generate_demand, reposition_vacant)
 
 RATES = Rates(alpha=1.5, beta=2.75)
@@ -38,11 +42,26 @@ def ref_cell_of(world, point):
     return row * world.cols + col
 
 
+def ref_axis_indices(v, n, cell_size):
+    u = v / cell_size
+    k = round(u)
+    if abs(u - k) < _EPS and 0 < k < n:
+        return [k - 1, k]
+    return [min(n - 1, max(0, int(math.floor(u))))]
+
+
+def ref_crossing_param(v0, v1, line):
+    if abs(v1 - v0) < _EPS:
+        return None
+    t = (line - v0) / (v1 - v0)
+    return t if _EPS < t < 1.0 - _EPS else None
+
+
 def ref_cells_touching(world, point):
     if not world.contains(point):
         raise GeometryError(f"point {point} outside grid extent {world.extent}")
-    cols = _axis_indices(point[0], world.cols, world.cell_size)
-    rows = _axis_indices(point[1], world.rows, world.cell_size)
+    cols = ref_axis_indices(point[0], world.cols, world.cell_size)
+    rows = ref_axis_indices(point[1], world.rows, world.cell_size)
     return sorted(r * world.cols + c for r in rows for c in cols)
 
 
@@ -115,11 +134,11 @@ def ref_route(world, origin, dest):
     ts = {0.0, 1.0}
     cs = world.cell_size
     for k in range(1, world.cols):
-        t = _crossing_param(x0, x1, k * cs)
+        t = ref_crossing_param(x0, x1, k * cs)
         if t is not None:
             ts.add(t)
     for k in range(1, world.rows):
-        t = _crossing_param(y0, y1, k * cs)
+        t = ref_crossing_param(y0, y1, k * cs)
         if t is not None:
             ts.add(t)
     ts = sorted(ts)
@@ -177,6 +196,45 @@ def ref_build_candidates(drivers, riders, world, rates, prospect_model,
     return edges
 
 
+def ref_order_prospects(world):
+    prospects = []
+    for g in range(world.n_cells):
+        d = np.linalg.norm(world.centroids - world.centroids[g], axis=1)
+        w = 1.0 - d / world.max_centroid_dist
+        prospects.append(float(np.dot(w, world.densities)))
+    return prospects
+
+
+def ref_marginal_gain(params, state, route_cells):
+    counts = state.counts[state.current_interval]
+    lam = params.exponent
+    gain = 0.0
+    for g in route_cells:
+        n = counts[g]          # a numpy scalar
+        gain += (n + 1.0) ** lam - float(n) ** lam
+    return gain
+
+
+def ref_truthful_priced(settlement, problem, drivers_by_id, riders_by_id):
+    if not settlement.priced:
+        return settlement
+    tau_min_d, tau_min_r = {}, {}
+    for e in problem.edges:
+        tau_min_d[e.driver] = min(tau_min_d.get(e.driver, math.inf), e.tau)
+        tau_min_r[e.rider] = min(tau_min_r.get(e.rider, math.inf), e.tau)
+    priced = []
+    for m in settlement.priced:
+        d = drivers_by_id[m.driver]
+        r = riders_by_id[m.rider]
+        priced.append(dataclasses.replace(
+            m,
+            P_d=m.P_d - (d.b_reported - d.b_true)
+            * (m.tau - tau_min_d[m.driver]),
+            P_r=m.P_r + (r.delta_reported - r.delta_true)
+            * (m.tau - tau_min_r[m.rider])))
+    return dataclasses.replace(settlement, priced=tuple(priced))
+
+
 # --- helpers ----------------------------------------------------------------
 
 ZERO_DENSITY_WORLD = {"rows": 4, "cols": 4,
@@ -221,6 +279,37 @@ def test_cells_of_matches_cell_of_rule():
             world.cells_of(points[:3] + [bad])
 
 
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (8, 8), (40, 40)])
+def test_prospects_equal_the_per_cell_loop(rows, cols):
+    world, model = load_world(default_world(rows, cols))
+    assert same_floats(model.prospects.tolist(), ref_order_prospects(world))
+
+
+def test_centroid_dists_equal_norm():
+    world = build_grid(7, 5, 0.3, [1.0] * 35)
+    rng = np.random.default_rng(8)
+    points = np.array([random_point(world, rng) for _ in range(300)]
+                      + [tuple(c) for c in world.centroids])
+    want = np.linalg.norm(world.centroids - points[:, None, :], axis=2)
+    assert world.centroid_dists(points).tobytes() == want.tobytes()
+    assert world.centroid_dists(np.empty((0, 2))).shape == (0, 35)
+
+
+def test_a_run_builds_its_world_once(monkeypatch):
+    calls = []
+    real = simengine.load_world
+
+    def counted(doc):
+        calls.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(simengine, "load_world", counted)
+    config = ScenarioConfig(world=default_world(4, 4), fleet_size=3)
+    state = SimulationState(config, pricing.VCG)
+    assert len(calls) == 1
+    assert (state.world, state.prospect_model) == config.built_world
+
+
 # --- (a) demand draws -------------------------------------------------------
 
 @pytest.mark.parametrize("world", [load_world(default_world())[0],
@@ -228,9 +317,8 @@ def test_cells_of_matches_cell_of_rule():
                          ids=["default-8x8", "zero-density"])
 def test_demand_cdf_draws_equal_rng_choice(world):
     new, old = np.random.default_rng(11), np.random.default_rng(11)
-    cdf = world.demand_cdf
-    got = [int(cdf.searchsorted(new.random(), side="right"))
-           for _ in range(20_000)]
+    cdf = world.demand_cdf.tolist()
+    got = [bisect_right(cdf, new.random()) for _ in range(20_000)]
     want = [int(old.choice(world.n_cells, p=world.densities))
             for _ in range(20_000)]
     assert got == want
@@ -254,6 +342,17 @@ def test_generate_demand_equals_reference(doc, scenario):
         assert [(r.id, r.origin, r.dest, r.route, r.delta_true) for r in got] \
             == [(r.id, r.origin, r.dest, r.route, r.delta_true) for r in want]
         assert new.random() == old.random()
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 8), (1, 5)])
+def test_low_cells_index_draws_equal_rng_choice(rows, cols):
+    low_cells = load_world(default_world(rows, cols))[1].low_cells
+    new, old = np.random.default_rng(12), np.random.default_rng(12)
+    got = [int(low_cells[new.integers(0, len(low_cells))])
+           for _ in range(20_000)]
+    want = [int(old.choice(low_cells)) for _ in range(20_000)]
+    assert got == want
+    assert new.random() == old.random()
 
 
 @pytest.mark.parametrize("rows,cols", [(8, 8), (1, 5)])   # 1x5: q hits a cell
@@ -436,3 +535,63 @@ def test_build_candidates_keeps_exact_radius_boundary():
     got = build_candidates(*args).edges
     assert [e.rider for e in got] == ["r0", "r1", "r2", "r3"]
     assert got == ref_build_candidates(*args)
+
+
+def test_candidate_edge_keeps_its_dataclass_behaviour():
+    e = CandidateEdge("d1", "r2", 0.5, 1.0, 2.5, 0.3, h_r=1.2)
+    same = CandidateEdge(driver="d1", rider="r2", tau=0.5, P_d=1.0, P_r=2.5,
+                         zeta=0.3, h_r=1.2)
+    assert e == same and hash(e) == hash(same)
+    assert e != dataclasses.replace(e, tau=0.6)
+    assert e.sigma == 1.5 and e.pair == ("d1", "r2")
+    assert CandidateEdge("d", "r", 0.0, 1.0, 2.0, 0.0).h_r == 0.0
+    assert repr(e) == ("CandidateEdge(driver='d1', rider='r2', tau=0.5, "
+                       "P_d=1.0, P_r=2.5, zeta=0.3, h_r=1.2)")
+    moved = dataclasses.replace(e, rider="r3", zeta=0.4)
+    assert (moved.rider, moved.zeta, moved.tau) == ("r3", 0.4, 0.5)
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert dataclasses.astuple(e) == ("d1", "r2", 0.5, 1.0, 2.5, 0.3, 1.2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.tau = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del e.zeta
+
+
+# --- (e) per-rider sensing gains and truthful restatement --------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_marginal_gain_equals_numpy_scalar_sum(seed):
+    world = build_grid(8, 8, 1.0, [1.0] * 64)
+    rng = np.random.default_rng(seed)
+    coverage = CoverageState(n_cells=64, n_intervals=3)
+    coverage.counts[:] = rng.integers(0, 40, (3, 64))
+    coverage.current_interval = 1
+    for exponent in (0.2, 0.5, 0.9):
+        params = SensingParams(exponent=exponent)
+        for _ in range(300):
+            cells = route(world, random_point(world, rng),
+                          random_point(world, rng)).cells
+            assert same_floats(
+                [sensing_mod.marginal_gain(params, coverage, cells)],
+                [ref_marginal_gain(params, coverage, cells)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_truthful_priced_equals_per_edge_minimum_loop(seed):
+    drivers, riders, world, rates, model, coverage, params, radius = \
+        candidate_scene(seed, 12, 10, 2.0)
+    for d in drivers:
+        d.b_true = d.b_reported - 0.3 * (int(d.id[1:]) % 2)
+    problem = build_candidates(drivers, riders, world, rates, model,
+                               coverage, params, radius)
+    drivers_by_id = {d.id: d for d in drivers}
+    riders_by_id = {r.id: r for r in riders}
+    for mechanism in (pricing.VCG, pricing.DS):
+        settled = pricing.settle_epoch(mechanism, problem, rates)
+        assert settled.priced
+        got = _truthful_priced(settled, problem, drivers_by_id, riders_by_id)
+        want = ref_truthful_priced(settled, problem, drivers_by_id,
+                                   riders_by_id)
+        assert same_floats([x for m in got.priced for x in (m.P_d, m.P_r)],
+                           [x for m in want.priced for x in (m.P_d, m.P_r)])
+        assert got == want
