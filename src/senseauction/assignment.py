@@ -15,9 +15,17 @@ Which path runs:
   The duals are the drivers' best core point (_core_point). chosen is the
   winner's order, observable in the event log: driver id for the pick,
   (-sigma, tau, pair) for a branch-and-bound leaf.
-- One index per settle (settle_index): an _Instance over the sigma >= 0
-  edges (welfare) or all edges (sensing), shared by the solve and all
-  removals.
+- Columnar market: a MatchingProblem holds its edges as an _EdgeTable,
+  one array per field over the edges, with the drivers and riders that have
+  an edge in id order. build_candidates fills it directly; a problem built
+  from a list of CandidateEdge (tests, properties, oracle, JSON) derives it
+  once. `edges`, the list view, is made on first read.
+- One index per settle (settle_index): an _Instance scattered from the
+  table's arrays, over the sigma >= 0 edges (welfare; rows and columns left
+  without an edge are dropped) or all edges (sensing), shared by the solve
+  and all removals. Its eid array names each cell's edge, and a
+  CandidateEdge is made only for the cells a settle reads: the pick, the
+  welfare face, incumbents and the chosen matching.
 - VCG removal marginals (welfare_marginals): read from the pick's two core
   points (_Instance.core) with no solve, so a VCG settle runs one LSA.
 - Sensing: zeta is the gain of the requested trip, one value per rider. The
@@ -88,8 +96,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -131,16 +140,6 @@ class CandidateEdge:
     zeta: float         # sensing gain of the requested trip
     h_r: float = 0.0    # trip length, needed for the charge floor
 
-    # A frozen dataclass's generated __init__ sets each field through
-    # object.__setattr__, about 2 us an edge, and an epoch builds one edge
-    # per in-radius pair. Filling __dict__ at once costs a quarter of that;
-    # equality, hash, repr, replace, pickling and the frozen fields are the
-    # dataclass's own.
-    def __init__(self, driver: str, rider: str, tau: float, P_d: float,
-                 P_r: float, zeta: float, h_r: float = 0.0):
-        self.__dict__.update(driver=driver, rider=rider, tau=tau, P_d=P_d,
-                             P_r=P_r, zeta=zeta, h_r=h_r)
-
     @property
     def sigma(self) -> float:
         return self.P_r - self.P_d
@@ -150,21 +149,102 @@ class CandidateEdge:
         return self.driver, self.rider
 
 
-@dataclass
-class MatchingProblem:
-    edges: list[CandidateEdge]
-    drivers: tuple[str, ...]
-    riders: tuple[str, ...]
-    objective: str = WELFARE
-    # Each participant's least in-radius pick-up distance (inf without an
-    # edge), as build_candidates priced the edges with it; empty for a
-    # problem built from edges alone.
-    tau_min: dict[str, float] = field(default_factory=dict, repr=False,
-                                      compare=False)
+class _EdgeTable:
+    """A market's candidate edges as columns, in edge order.
 
-    def __post_init__(self):
-        if len({(e.driver, e.rider) for e in self.edges}) != len(self.edges):
+    Edge k joins driver d_ids[di[k]] to rider r_ids[ri[k]]; tau, P_d, P_r,
+    zeta and h are its fields, and sigma = P_r - P_d, the same float
+    CandidateEdge.sigma computes. d_ids and r_ids are the participants with
+    an edge, in id order, which is the sensing index's row and column order.
+    An edge's CandidateEdge is made on first read (at) and kept, so a settle
+    makes objects only for the cells it reads.
+    """
+
+    def __init__(self, d_ids, r_ids, di, ri, tau, P_d, P_r, zeta, h,
+                 made=None):
+        """di and ri index any id sequences d_ids and r_ids; the table keeps
+        the ids they use, in id order, and renumbers them."""
+        self.d_ids, self.di = _id_order(d_ids, di)
+        self.r_ids, self.ri = _id_order(r_ids, ri)
+        self.tau, self.P_d, self.P_r, self.zeta, self.h = tau, P_d, P_r, zeta, h
+        self.sigma = P_r - P_d
+        self.made = [None] * di.size if made is None else made
+
+    @classmethod
+    def of_records(cls, records, made=None) -> "_EdgeTable":
+        """From (driver, rider, tau, P_d, P_r, zeta, h) rows; ContractError
+        when a (driver, rider) pair repeats."""
+        d_pos: dict = {}
+        r_pos: dict = {}
+        di, ri, values = [], [], []
+        for d, r, *fields in records:
+            di.append(d_pos.setdefault(d, len(d_pos)))
+            ri.append(r_pos.setdefault(r, len(r_pos)))
+            values.append(fields)
+        di, ri = np.array(di, dtype=np.intp), np.array(ri, dtype=np.intp)
+        if np.unique(di * len(r_pos) + ri).size != di.size:
             raise ContractError("duplicate (driver, rider) edge")
+        columns = np.array(values, dtype=float).reshape(-1, 5).T
+        return cls(tuple(d_pos), tuple(r_pos), di, ri, *columns, made=made)
+
+    def edge(self, k) -> CandidateEdge:
+        e = self.made[k]
+        if e is None:
+            e = self.made[k] = CandidateEdge(
+                self.d_ids[self.di.item(k)], self.r_ids[self.ri.item(k)],
+                self.tau.item(k), self.P_d.item(k), self.P_r.item(k),
+                self.zeta.item(k), self.h.item(k))
+        return e
+
+    def at(self, ids: np.ndarray) -> tuple[CandidateEdge, ...]:
+        """The edges with the given ids, in order."""
+        return tuple(map(self.edge, ids.tolist()))
+
+
+class MatchingProblem:
+    """One epoch's market: candidate edges between drivers and riders.
+
+    The edges are held as an _EdgeTable. A problem built from a list of
+    CandidateEdge derives the table from it once; build_candidates hands
+    its own over (of_table), and `edges`, the list view, is then made on
+    first read.
+    """
+
+    def __init__(self, edges, drivers, riders, objective: str = WELFARE,
+                 tau_min: dict[str, float] | None = None):
+        made = list(edges)
+        self.table = _EdgeTable.of_records(
+            ((e.driver, e.rider, e.tau, e.P_d, e.P_r, e.zeta, e.h_r)
+             for e in made), made=made)
+        self._edges = edges
+        self.drivers, self.riders, self.objective = drivers, riders, objective
+        # Each participant's least in-radius pick-up distance (inf without an
+        # edge), as build_candidates priced the edges with it; empty for a
+        # problem built from edges alone.
+        self.tau_min = {} if tau_min is None else tau_min
+
+    @classmethod
+    def of_table(cls, table: _EdgeTable, drivers, riders,
+                 objective: str = WELFARE,
+                 tau_min: dict[str, float] | None = None) -> "MatchingProblem":
+        problem = cls.__new__(cls)
+        problem.table, problem._edges = table, None
+        problem.drivers, problem.riders = drivers, riders
+        problem.objective = objective
+        problem.tau_min = {} if tau_min is None else tau_min
+        return problem
+
+    @property
+    def edges(self) -> list[CandidateEdge]:
+        if self._edges is None:
+            self._edges = list(self.table.at(np.arange(self.table.di.size)))
+        return self._edges
+
+    def __copy__(self) -> "MatchingProblem":
+        # copy.copy's generic path (__reduce_ex__) costs a few us a settle.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def without(self, participant: str) -> "MatchingProblem":
         """Copy of the problem with all edges incident to a participant removed."""
@@ -233,11 +313,12 @@ def build_candidates(drivers, riders, world: GridWorld, rates: market.Rates,
     delta = np.array([r.delta_reported for r in riders])
     P_d = market.driver_valuation(rates, h_e, b[di], tau, tau_min_d[di], f[ri])
     P_r = market.rider_valuation(rates, h_e, delta[ri], tau, tau_min_r[ri])
-    edges = [CandidateEdge(driver_ids[i], rider_ids[j], t, pd, pr, zeta[j], h[j])
-             for i, j, t, pd, pr in zip(di.tolist(), ri.tolist(), tau.tolist(),
-                                        P_d.tolist(), P_r.tolist())]
-    return MatchingProblem(
-        edges=edges, drivers=tuple(driver_ids), riders=tuple(rider_ids),
+    # nonzero yields each (driver, rider) pair once, so no pair repeats.
+    drivers, riders = tuple(driver_ids), tuple(rider_ids)
+    table = _EdgeTable(drivers, riders, di, ri, tau, P_d, P_r,
+                       np.array(zeta)[ri], h_e)
+    return MatchingProblem.of_table(
+        table, drivers, riders,
         tau_min=dict(zip(driver_ids + rider_ids,
                          tau_min_d.tolist() + tau_min_r.tolist())))
 
@@ -250,7 +331,7 @@ def solve_welfare_max(problem: MatchingProblem,
     _welfare_tie_break searches the welfare face from it. `index` is the
     settle_index, built when not given.
     """
-    m = _welfare_index(problem.edges) if index is None else index
+    m = _welfare_index(problem) if index is None else index
     chosen = _welfare_tie_break(m)
     value = _canonical_sum(chosen, "sigma")
     return MatchingSolution(chosen=chosen, objective_value=value,
@@ -265,9 +346,9 @@ def solve_sensing_max(problem: MatchingProblem,
     pass 2 (_pass2_riders) the tie-break-optimal matching attaining it.
     `inst` is the problem's settle_index, built here when not given.
     """
-    inst = _Instance(problem.edges) if inst is None else inst
-    p_star, seed = _optimal_primary_riders(_RiderSearch(inst))
-    chosen = _pass2_riders(inst, p_star, seed)
+    inst = _Instance(problem.table) if inst is None else inst
+    p_star, (rows, cols) = _optimal_primary_riders(_RiderSearch(inst))
+    chosen = _pass2_riders(inst, p_star, inst.table.at(inst.eid[rows, cols]))
     return MatchingSolution(chosen=chosen,
                             objective_value=_canonical_sum(chosen, "zeta"),
                             welfare_total=_canonical_sum(chosen, "sigma"))
@@ -281,9 +362,9 @@ def settle_index(problem: MatchingProblem):
     problem object can be settled again under either objective.
     """
     if problem.objective == WELFARE:
-        return _welfare_index(problem.edges)
+        return _welfare_index(problem)
     if problem.objective == SENSING:
-        return _Instance(problem.edges)
+        return _Instance(problem.table)
     raise ContractError(f"unknown objective {problem.objective!r}")
 
 
@@ -309,10 +390,10 @@ def marginal_objective(problem: MatchingProblem, remove: str) -> float:
         raise ContractError(f"participant {remove!r} not in problem")
     reduced = problem.without(remove)
     if reduced.objective == WELFARE:
-        m = _welfare_index(reduced.edges)
-        return _canonical_sum(_lsa_pick(m.s_raw, m.by_pair)[1], "sigma")
+        m = _welfare_index(reduced)
+        return _canonical_sum(m.lsa_pick(m.s_raw)[1], "sigma")
     if reduced.objective == SENSING:
-        search = _RiderSearch(_Instance(reduced.edges))
+        search = _RiderSearch(_Instance(reduced.table))
         return _optimal_primary_riders(search)[0]
     raise ContractError(f"unknown objective {reduced.objective!r}")
 
@@ -353,7 +434,7 @@ def welfare_marginals(problem: MatchingProblem, participants,
     the welfare index, built here when not given), so no removal is solved.
     A participant with no sigma >= 0 edge gets V_-p = V.
     """
-    m = _welfare_index(problem.edges) if index is None else index
+    m = _welfare_index(problem) if index is None else index
     pick, u_max, _, v_max = m.core
     value = _canonical_sum(pick, "sigma")
     pay = dict(zip([*m.d_index, *m.r_index], u_max.tolist() + v_max.tolist()))
@@ -372,7 +453,7 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
     that index, searched from a warm start with an early exit (see the
     module docstring).
     """
-    index = _Instance(problem.edges) if inst is None else inst
+    index = _Instance(problem.table) if inst is None else inst
     optimal_set = frozenset(solution.matched_riders)
     out = {}
     for p, rows, cols in _removals(index, problem, participants):
@@ -385,20 +466,44 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
     return out
 
 
-def _welfare_index(edges) -> _Instance:
+def _welfare_index(problem: MatchingProblem) -> _Instance:
     """The welfare program's _Instance, over the edges with sigma >= 0."""
-    return _Instance([e for e in edges if e.sigma >= 0.0])
+    table = problem.table
+    return _Instance(table, table.sigma >= 0.0)
 
 
-def _lsa_pick(w: np.ndarray, by_pair: np.ndarray) -> tuple[float, tuple]:
-    """One LSA optimum of w: its value and its positive-weight edges, in row
-    order, with no solve when w is empty. by_pair holds the edge at each
-    cell of w."""
+def _id_order(ids, pos: np.ndarray):
+    """The ids that pos uses, in id order, and pos renumbered into them."""
+    used = np.bincount(pos, minlength=len(ids)).tolist()
+    keep = sorted(compress(range(len(ids)), used), key=ids.__getitem__)
+    place = np.empty(len(ids), dtype=np.intp)
+    place[np.array(keep, dtype=np.intp)] = np.arange(len(keep))
+    return tuple(map(ids.__getitem__, keep)), place[pos]
+
+
+def _drop_unused(ids: tuple, pos: np.ndarray):
+    """The ids that pos uses, in their order, and pos renumbered into them."""
+    used = np.bincount(pos, minlength=len(ids))
+    if np.count_nonzero(used) == used.size:
+        return ids, pos
+    kept = used.nonzero()[0]
+    return tuple(map(ids.__getitem__, kept.tolist())), kept.searchsorted(pos)
+
+
+def _lsa_cells(w: np.ndarray):
+    """One LSA optimum of w: its value and its positive-weight cells (rows,
+    cols), in row order, with no solve when w is empty."""
     if not w.size:
-        return 0.0, ()
+        return 0.0, np.empty(0, np.intp), np.empty(0, np.intp)
     ri, ci = linear_sum_assignment(w, maximize=True)
     keep = w[ri, ci] > 0.0
-    return float(w[ri, ci].sum()), tuple(by_pair[ri[keep], ci[keep]])
+    return float(w[ri, ci].sum()), ri[keep], ci[keep]
+
+
+def _row_sum(values: np.ndarray) -> float:
+    """_canonical_sum of a matching's values given in row order. Rows are
+    drivers in id order, so that is the order of its pairs."""
+    return float(sum(values.tolist()))
 
 
 def _welfare_tie_break(m: _Instance) -> tuple[CandidateEdge, ...]:
@@ -455,7 +560,8 @@ def _welfare_face(m: _Instance, u, v):
     """The sigma > 0 edges of m with reduced cost <= 1e-6 under optimal duals
     u, v, in (-sigma, tau, pair) order: every optimal matching lies on them."""
     keep = (m.s_raw > 0.0) & (u[:, None] + v[None, :] - m.s_raw <= 1e-6)
-    return sorted(m.by_pair[keep], key=lambda e: (-e.sigma, e.tau, e.pair))
+    return sorted(m.table.at(m.eid[keep]),
+                  key=lambda e: (-e.sigma, e.tau, e.pair))
 
 
 def _core_point(w: np.ndarray, rows, cols):
@@ -532,43 +638,65 @@ def _better(a, b) -> bool:
 class _Instance:
     """One settle's index, shared by its solve and all removals.
 
-    Rows and columns are drivers and riders in id order. s_raw holds each
-    edge's sigma (0 off the edges), has_edge the edges, by_pair their
-    objects. The sensing program's zr (each rider's zeta) and z_raw (each
-    edge's) are built on first use: a rider with two zeta values raises
-    ContractError there, and the welfare program never reads them; its
-    core (the pick and both core points) is built on first use too. So are
-    what the sensing searches share: the rider order, zeta_integral and
-    the removal searches' search_rows.
+    Rows and columns are the drivers and riders with an edge among `keep`
+    (all the table's edges when None), in id order; the welfare index keeps
+    the sigma >= 0 edges. It is built from the table's columns by one
+    scatter each: s_raw holds each edge's sigma (0 off the edges), has_edge
+    the edges and eid their ids in the table (-1 off the edges), which
+    CandidateEdge objects come from (table.at). The sensing program's zc
+    (each column's zeta), zr and z_raw are built on first use: a rider with
+    two zeta values raises ContractError there, and the welfare program
+    never reads them; its core (the pick and both core points) is built on
+    first use too. So are what the sensing searches share: the rider order,
+    zeta_integral and the removal searches' search_rows.
     """
 
-    def __init__(self, edges):
-        self.edges = edges
-        self.d_index = d_index = {
-            d: i for i, d in enumerate(sorted({e.driver for e in edges}))}
-        self.r_index = r_index = {
-            r: i for i, r in enumerate(sorted({e.rider for e in edges}))}
-        shape = len(d_index), len(r_index)
-        self.s_raw = s_raw = np.zeros(shape)
-        self.has_edge = has_edge = np.zeros(shape, dtype=bool)
-        # Pair lookup as an array, so a removal can slice it like the rest.
-        self.by_pair = by_pair = np.empty(shape, dtype=object)
-        # Set edge by edge: on markets of at most 8x8 one array scatter per
-        # array costs more in numpy's fixed cost than it saves.
-        for e in edges:
-            ij = d_index[e.driver], r_index[e.rider]
-            s_raw[ij] = e.sigma
-            has_edge[ij] = True
-            by_pair[ij] = e
+    def __init__(self, table: _EdgeTable, keep=None):
+        self.table = table
+        d_ids, r_ids = table.d_ids, table.r_ids
+        if keep is None:
+            ids = np.arange(table.di.size)
+            rows, cols, sigma = table.di, table.ri, table.sigma
+        else:
+            ids = keep.nonzero()[0]
+            d_ids, rows = _drop_unused(d_ids, table.di[ids])
+            r_ids, cols = _drop_unused(r_ids, table.ri[ids])
+            sigma = table.sigma[ids]
+        self.ids, self.edge_cols = ids, cols
+        self.d_index = dict(zip(d_ids, range(len(d_ids))))
+        self.r_index = dict(zip(r_ids, range(len(r_ids))))
+        shape = len(d_ids), len(r_ids)
+        self.s_raw = np.zeros(shape)
+        self.s_raw[rows, cols] = sigma
+        self.eid = np.full(shape, -1, dtype=np.intp)
+        self.eid[rows, cols] = ids
         self._floor_lam: float | None = None
 
     @cached_property
+    def has_edge(self) -> np.ndarray:
+        # The welfare program never reads it.
+        return self.eid >= 0
+
+    def lsa_pick(self, w: np.ndarray) -> tuple[float, tuple]:
+        """One LSA optimum of w, over this index's cells: its value and its
+        positive-weight edges, in row order."""
+        value, rows, cols = _lsa_cells(w)
+        return value, self.table.at(self.eid[rows, cols])
+
+    @cached_property
+    def zc(self) -> np.ndarray:
+        """Each column's zeta."""
+        zeta, col = self.table.zeta[self.ids], self.edge_cols
+        zc = np.zeros(len(self.r_index))
+        zc[col] = zeta
+        if np.count_nonzero(two := zc[col] != zeta):
+            rider = self.rider_ids[col[two.argmax()]]
+            raise ContractError(f"rider {rider!r} has two zeta values")
+        return zc
+
+    @cached_property
     def zr(self) -> dict[str, float]:
-        zr: dict[str, float] = {}
-        for e in self.edges:
-            if zr.setdefault(e.rider, e.zeta) != e.zeta:
-                raise ContractError(f"rider {e.rider!r} has two zeta values")
-        return zr
+        return dict(zip(self.r_index, self.zc.tolist()))
 
     @cached_property
     def rider_ids(self) -> list[str]:
@@ -607,16 +735,14 @@ class _Instance:
 
     @cached_property
     def z_raw(self) -> np.ndarray:
-        zeta = np.array([self.zr[r] for r in self.r_index])
-        return np.where(self.has_edge, zeta, 0.0)
+        return np.where(self.has_edge, self.zc, 0.0)
 
     @cached_property
     def core(self):
         """The welfare program's LSA pick, the drivers' core point (u_max,
         v_min) and the riders' v_max (_core_point)."""
-        pick = _lsa_pick(self.s_raw, self.by_pair)[1]
-        rows = np.array([self.d_index[e.driver] for e in pick], dtype=int)
-        cols = np.array([self.r_index[e.rider] for e in pick], dtype=int)
+        _, rows, cols = _lsa_cells(self.s_raw)
+        pick = self.table.at(self.eid[rows, cols])
         u_max, v_min = _core_point(self.s_raw, rows, cols)
         return pick, u_max, v_min, _core_point(self.s_raw.T, cols, rows)[0]
 
@@ -640,9 +766,8 @@ class _Instance:
             def line(lam):
                 # 0 off the edges, where z_raw and s_raw are 0.
                 w = np.maximum(self.z_raw + lam * self.s_raw, 0.0)
-                pick = _lsa_pick(w, self.by_pair)[1]
-                return (_canonical_sum(pick, "zeta"),
-                        _canonical_sum(pick, "sigma"))
+                _, rows, cols = _lsa_cells(w)
+                return _row_sum(self.zc[cols]), _row_sum(self.s_raw[rows, cols])
 
             a_lo, b_lo = line(0.0)
             a_hi = b_hi = lam = 0.0
@@ -689,13 +814,12 @@ class _FloorBound:
     welfare tolerance, and the rounding of a sum of up to n weights.
     """
 
-    def __init__(self, s_raw, has_edge, r_index, zr, lam: float):
+    def __init__(self, s_raw, has_edge, zeta, lam: float):
+        """zeta holds each column's zeta."""
         self.lam = lam
         self.s_raw = s_raw
         n_c = has_edge.shape[1]
-        self.zeta = zeta = np.zeros(n_c)
-        for r, j in r_index.items():
-            zeta[j] = zr[r]
+        self.zeta = zeta
         w = zeta[None, :] + lam * s_raw
         # Undecided columns, then forced ones, so a node's matrix is one
         # gather.
@@ -762,10 +886,12 @@ class _RiderSearch:
         self.big = 1000.0 * (1.0 + float(np.abs(s_raw).sum()))
         if cut is not None and not (kept := cut[rows]).all():
             grid, s_raw = (rows[kept][:, None], cols), s_raw[kept]
-        self.s_raw, self.has_edge, self.by_pair = (
-            s_raw, inst.has_edge[grid], inst.by_pair[grid])
+        self.s_raw, self.has_edge, self.eid = (
+            s_raw, inst.has_edge[grid], inst.eid[grid])
+        self.table = inst.table
         self._weights = None
-        self.zr = zr = inst.zr
+        zr = inst.zr
+        self.zc = inst.zc if rows is None else inst.zc[cols]
         self.integral = inst.zeta_integral
         self.floor_lam = inst.floor_multiplier
         self.riders = order
@@ -825,12 +951,9 @@ class _RiderSearch:
         keep = w[ri, ci] > 0.0
         return total, ri[keep], np.asarray(idx)[ci[keep]] % n_c
 
-    def relaxed_sigma(self, with_pairs=False):
-        """relaxation()'s total and, with `with_pairs`, its matching."""
-        total, rows, cols = self.relaxation(cells=with_pairs)
-        if total is None or not with_pairs:
-            return total, ()
-        return total, tuple(self.by_pair[rows, cols])
+    def relaxed_sigma(self):
+        """relaxation()'s total alone."""
+        return self.relaxation(cells=False)[0]
 
     def run(self, open_node, visit, root=False):
         """Walk the rider subsets depth first.
@@ -856,8 +979,8 @@ class _RiderSearch:
                 return
             self.nodes += 1
             if self.nodes > after and self.lag is None:
-                self.lag = _FloorBound(self.s_raw, self.has_edge, self.r_index,
-                                       self.zr, self.floor_lam())
+                self.lag = _FloorBound(self.s_raw, self.has_edge, self.zc,
+                                       self.floor_lam())
             fresh = self.lag is not None and held is None
             if fresh:
                 held = self.lag([j for j, st in zip(r_idx, status) if st == 1],
@@ -936,7 +1059,7 @@ class _RiderSearch:
             for i in np.flatnonzero(self.has_edge[:, j]):
                 if not free_d[i]:
                     continue
-                e = self.by_pair[i, j]
+                e = self.table.edge(self.eid[i, j])
                 free_d[i] = False
                 chosen.append(e)
                 recurse(k + 1, cur_v + e.sigma, cur_t + e.tau)
@@ -951,6 +1074,10 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
                             target=math.inf):
     """Pass 1 of the sensing program: the best sensing total, and a matching
     attaining it, over the matchings that meet the welfare floor.
+
+    The matching is returned as the search's cells (rows, cols), in row
+    order, and the total is their canonical zeta sum, so a removal search,
+    which needs only the value, makes no CandidateEdge.
 
     A removal search passes a rider set known to be good as `incumbent`
     (tried first and kept only if it meets the floor) and the full market's
@@ -968,17 +1095,17 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
     removal = target < math.inf
     gain = 1.0 if s.integral else _PRUNE_TOL
     best_p = 0.0
-    best_chosen: tuple[CandidateEdge, ...] = ()
+    best_cells = np.empty(0, np.intp), np.empty(0, np.intp)
     if incumbent:
         # The leaf test of visit, on the incumbent's rider set.
         s.status[:] = [1 if r in incumbent else 2 for r in s.riders]
-        sig, pairs = s.relaxed_sigma(with_pairs=True)
+        sig, rows, cols = s.relaxation()
         cur_p = 0.0
         for z, st in zip(s.zeta, s.status):
             if st == 1:
                 cur_p += z
         if sig is not None and sig >= -_TOL and cur_p > best_p:
-            best_p, best_chosen = cur_p, pairs
+            best_p, best_cells = cur_p, (rows, cols)
         s.status[:] = [0] * len(s.status)
     stop = target - _PRUNE_TOL
 
@@ -987,30 +1114,29 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
                 and s.zeta_bound(k, n_in, cur_p) > best_p + _PRUNE_TOL)
 
     def visit(k, cur_p, held, fresh, fit):
-        nonlocal best_p, best_chosen
+        nonlocal best_p, best_cells
         if held is not None:
             # The canonical sum sorts the pairs, so first ask whether any
             # order of the sum could beat best_p.
             if (fresh and removal and held.sigma >= -_TOL
                     and float(s.lag.zeta[held.cols].sum())
                     > best_p - _TOL * (1.0 + best_p)):
-                pairs = tuple(s.by_pair[held.rows, held.cols])
-                p_held = _canonical_sum(pairs, "zeta")
+                p_held = _row_sum(s.lag.zeta[held.cols])
                 if p_held > best_p:
-                    best_p, best_chosen = p_held, pairs
+                    best_p, best_cells = p_held, (held.rows, held.cols)
                     if best_p >= stop:
                         return False
             if held.value + s.lag.slack < best_p + gain:
                 return False
         leaf = k == len(s.riders)
         if leaf:
-            sig, pairs = s.relaxed_sigma(with_pairs=True)
+            sig, rows, cols = s.relaxation()
             if sig is None or sig < -_TOL:
                 return False
             if cur_p > best_p:
-                # No rider is undecided, so `pairs` serves exactly the 'in'
-                # ones.
-                best_p, best_chosen = cur_p, pairs
+                # No rider is undecided, so the matching serves exactly the
+                # 'in' ones.
+                best_p, best_cells = cur_p, (rows, cols)
             return None
         # A matching with welfare >= _FLOOR_SLACK that still fits the node,
         # a held one or an inherited `fit`, passes this test for sure.
@@ -1023,7 +1149,7 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
         return fit
 
     s.run(open_node, visit, root=removal and s.integral)
-    return _canonical_sum(best_chosen, "zeta"), best_chosen
+    return _row_sum(s.zc[best_cells[1]]), best_cells
 
 
 def _pass2_riders(inst: _Instance, p_star: float, seed):
@@ -1042,9 +1168,9 @@ def _pass2_riders(inst: _Instance, p_star: float, seed):
     if p_star <= _PRUNE_TOL and not seed:
         # zeta is never negative, so every optimal matching serves only
         # riders with zeta 0; the maximum-welfare one of those meets the floor.
-        zero = [e for e in inst.edges if inst.zr[e.rider] == 0.0]
-        return solve_welfare_max(MatchingProblem(
-            zero, tuple(inst.d_index), tuple(inst.r_index))).chosen
+        table = inst.table
+        return _welfare_tie_break(_Instance(
+            table, (table.zeta == 0.0) & (table.sigma >= 0.0)))
     s = _RiderSearch(inst)
     best_key, best_chosen = _solution_key(seed, "zeta"), seed
 
@@ -1059,7 +1185,7 @@ def _pass2_riders(inst: _Instance, p_star: float, seed):
         # As in pass 1, a held matching with enough welfare passes both
         # welfare tests for sure.
         if held is None or held.sigma < max(best_key[1], 0.0) + _FLOOR_SLACK:
-            sig, _ = s.relaxed_sigma()
+            sig = s.relaxed_sigma()
             if sig is None or sig < -_TOL or sig < best_key[1] - _PRUNE_TOL:
                 return False
         if k == len(s.riders):
@@ -1098,6 +1224,8 @@ def problem_from_json(source) -> MatchingProblem:
         doc = json.loads(source)
     else:
         doc = source
+    # A document is a list of edge records, so it is read as edges: their
+    # objects are made at load, not inside each settle's time.
     edges = [CandidateEdge(driver=e["d"], rider=e["r"], tau=float(e["tau"]),
                            P_d=float(e["P_d"]), P_r=float(e["P_r"]),
                            zeta=float(e["zeta"]), h_r=float(e.get("h", 0.0)))

@@ -9,6 +9,7 @@ over/under-reporting utility lemmas, and envy-freeness. Used by the
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,9 +150,9 @@ def check_exactness(inst: RandomInstance) -> None:
 
 def _solve_sensing_no_floor(problem: MatchingProblem) -> float:
     # Without the floor the sensing program is one LSA on max(zeta, 0).
-    from .assignment import _canonical_sum, _Instance, _lsa_pick
-    inst = _Instance(problem.edges)
-    _, chosen = _lsa_pick(np.maximum(inst.z_raw, 0.0), inst.by_pair)
+    from .assignment import _canonical_sum, _Instance
+    inst = _Instance(problem.table)
+    _, chosen = inst.lsa_pick(np.maximum(inst.z_raw, 0.0))
     return _canonical_sum(chosen, "zeta")
 
 
@@ -166,56 +167,64 @@ def _check_feasible(solution: MatchingSolution, problem: MatchingProblem) -> Non
 
 
 def check_settlement_properties(inst: RandomInstance) -> None:
+    """check_market_settlement on the instance's truthful market."""
+    check_market_settlement(inst.problem(), inst.rates, inst.replay_doc())
+
+
+def check_market_settlement(problem: MatchingProblem, rates: Rates,
+                            replay: dict | None = None) -> None:
     """BB/WBB, IR, deficit sign, bonus signs, share normalization, and each
     VCG pivot against its definition V - V_-p (the settle reads it from the
-    core instead)."""
-    wp = inst.problem("welfare")
-    vcg = pricing.settle_epoch(pricing.VCG, wp, inst.rates)
+    core instead), on one market under both mechanisms. `replay` goes with
+    a violation."""
+    wp = copy.copy(problem)
+    wp.objective = "welfare"
+    vcg = pricing.settle_epoch(pricing.VCG, wp, rates)
     if vcg.revenue > TOL:
         raise PropertyViolation("VCG-deficit", f"revenue {vcg.revenue} > 0",
-                                inst.replay_doc())
+                                replay)
     v_star = vcg.solution.objective_value
     for m in vcg.priced:
         if m.rho_d < -TOL or m.rho_r < -TOL:
             raise PropertyViolation("VCG-bonus", "negative pivot bonus",
-                                    inst.replay_doc())
+                                    replay)
         for p, rho in ((m.driver, m.rho_d), (m.rider, m.rho_r)):
             if abs(rho - (v_star - marginal_objective(wp, p))) > TOL:
                 raise PropertyViolation("VCG-pivot",
                                         f"pivot of {p} {rho} != V - V_-p",
-                                        inst.replay_doc())
-        _check_ir(m, inst, floor=False)
+                                        replay)
+        _check_ir(m, replay, floor=False)
 
-    sp = inst.problem("sensing")
-    ds = pricing.settle_epoch(pricing.DS, sp, inst.rates, floor_enabled=False)
+    ds = pricing.settle_epoch(pricing.DS, problem, rates, floor_enabled=False)
     if abs(ds.revenue) > TOL:
         raise PropertyViolation("DS-BB", f"|revenue| = {abs(ds.revenue)}",
-                                inst.replay_doc())
+                                replay)
     share_sum = sum(m.share_d + m.share_r for m in ds.priced)
     if ds.priced and abs(share_sum - 1.0) > TOL:
         raise PropertyViolation("DS-shares", f"shares sum to {share_sum}",
-                                inst.replay_doc())
+                                replay)
     for m in ds.priced:
-        _check_ir(m, inst, floor=False)
+        _check_ir(m, replay, floor=False)
 
-    ds_floor = pricing.settle_epoch(pricing.DS, sp, inst.rates,
+    ds_floor = pricing.settle_epoch(pricing.DS, problem, rates,
                                     floor_enabled=True)
     if ds_floor.revenue < -TOL:
         raise PropertyViolation("DS-WBB", f"revenue {ds_floor.revenue} < 0",
-                                inst.replay_doc())
+                                replay)
     for m in ds_floor.priced:
         if m.q_d < m.P_d - TOL or m.rho_r < -TOL:
             raise PropertyViolation("DS-IR-floor", "driver paid below valuation",
-                                    inst.replay_doc())
+                                    replay)
 
 
-def _check_ir(m: pricing.PricedMatch, inst: RandomInstance, floor: bool) -> None:
+def _check_ir(m: pricing.PricedMatch, replay: dict | None,
+              floor: bool) -> None:
     if m.q_d < m.P_d - TOL:
         raise PropertyViolation("IR-driver", f"q_d {m.q_d} < P_d {m.P_d}",
-                                inst.replay_doc())
+                                replay)
     if not floor and m.q_r > m.P_r + TOL:
         raise PropertyViolation("IR-rider", f"q_r {m.q_r} > P_r {m.P_r}",
-                                inst.replay_doc())
+                                replay)
 
 
 def reprice_fixed_matching(inst: RandomInstance,

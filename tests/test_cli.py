@@ -229,11 +229,11 @@ def test_check_reports_violation_with_replay(tmp_path, monkeypatch):
     # Without the floor the sensing program is one LSA on max(zeta, 0).
     from senseauction import properties
     from senseauction.assignment import (MatchingSolution, _canonical_sum,
-                                         _Instance, _lsa_pick)
+                                         _Instance)
 
     def floorless(problem):
-        inst = _Instance(problem.edges)
-        _, chosen = _lsa_pick(np.maximum(inst.z_raw, 0.0), inst.by_pair)
+        inst = _Instance(problem.table)
+        _, chosen = inst.lsa_pick(np.maximum(inst.z_raw, 0.0))
         return MatchingSolution(
             chosen=chosen,
             objective_value=_canonical_sum(chosen, "zeta"),

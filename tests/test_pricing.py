@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from senseauction.assignment import CandidateEdge, MatchingProblem, solve
+from senseauction.assignment import (CandidateEdge, MatchingProblem, _EdgeTable,
+                                     solve)
 from senseauction.errors import ContractError
 from senseauction.market import Rates
 from senseauction.pricing import (DS, VCG, compute_marginals, ds_prices,
@@ -185,8 +186,10 @@ def test_settle_epoch_leaves_the_problem_objective_alone():
 def test_settle_epoch_does_not_validate_the_problem_again(monkeypatch):
     p = random_priced_problem(np.random.default_rng(41), "welfare")
     checks = []
-    monkeypatch.setattr(MatchingProblem, "__post_init__",
-                        lambda self: checks.append(self))
+    # A problem's (driver, rider) pairs are checked once, where its edge
+    # table is built from records.
+    monkeypatch.setattr(_EdgeTable, "of_records",
+                        lambda *args, **kwargs: checks.append(args))
     for mech in (VCG, DS):
         settle_epoch(mech, p, RATES)
     assert checks == []

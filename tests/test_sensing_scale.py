@@ -147,7 +147,8 @@ def test_removal_slices_hold_the_rebuilt_index(sim_markets):
                         == list(rebuilt.r_index))
                 assert np.array_equal(index.has_edge[grid], rebuilt.has_edge)
                 assert np.array_equal(index.s_raw[grid], rebuilt.s_raw)
-                assert np.array_equal(index.by_pair[grid], rebuilt.by_pair)
+                assert (index.table.at(index.eid[grid][rebuilt.has_edge])
+                        == rebuilt.table.at(rebuilt.eid[rebuilt.has_edge]))
 
 
 def test_two_zeta_values_for_one_rider_are_rejected():
@@ -342,8 +343,7 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
         search = asg._RiderSearch(inst)
         big = 1000.0
         for lam in (0.0, 0.05, inst.floor_multiplier(), 1.0, 4.0):
-            bound = asg._FloorBound(inst.s_raw, inst.has_edge, inst.r_index,
-                                    inst.zr, lam)
+            bound = asg._FloorBound(inst.s_raw, inst.has_edge, inst.zc, lam)
             for _ in range(6):
                 status = {r: int(rng.integers(0, 3)) for r in inst.r_index}
                 forced = [r for r in status if status[r] == 1]
@@ -367,13 +367,14 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
                 # The status as drawn, then with every undecided rider out.
                 for view in (status, {r: v or 2 for r, v in status.items()}):
                     search.status = [view[r] for r in search.riders]
-                    sig, pairs = search.relaxed_sigma(with_pairs=True)
+                    sig, rows, cols = search.relaxation()
                     welfare = best(lambda e: e.sigma, False, view)
                     if welfare is None:
                         assert sig is None
                         relaxed_infeasible += 1
                         continue
                     assert sig == pytest.approx(welfare, abs=1e-9)
+                    pairs = search.table.at(search.eid[rows, cols])
                     served = [e.rider for e in pairs]
                     assert len({e.driver for e in pairs}) == len(pairs)
                     assert len(set(served)) == len(served)
@@ -413,12 +414,12 @@ def test_floor_multiplier_minimises_the_root_bound():
     and otherwise no lam on a grid gives a lower root bound."""
     feasible_at_zero = 0
     for problem in FLOOR_BINDING[:6] + SEEDED[:2]:
-        inst = asg._Instance(problem.edges)
+        inst = asg._Instance(problem.table)
 
         def g(lam):
             w = np.maximum(inst.z_raw + lam * inst.s_raw, 0.0)
             w[~inst.has_edge] = 0.0
-            return asg._lsa_pick(w, inst.by_pair)
+            return inst.lsa_pick(w)
 
         lam = inst.floor_multiplier()
         if sum(e.sigma for e in g(0.0)[1]) >= 0.0:
@@ -487,12 +488,12 @@ def test_row_cut_keeps_every_bound_and_removal_value(sim_markets,
             whole = asg._RiderSearch(index, rows, cols)
             part = asg._RiderSearch(index, rows, cols, keep)
             assert part.riders == whole.riders and part.big == whole.big
-            bounds = [asg._FloorBound(s.s_raw, s.has_edge, s.r_index, s.zr,
-                                      lam) for s in (whole, part)]
+            bounds = [asg._FloorBound(s.s_raw, s.has_edge, s.zc, lam)
+                      for s in (whole, part)]
             for _ in range(6):
                 status = rng.integers(0, 3, len(whole.riders)).tolist()
                 whole.status[:] = part.status[:] = status
-                sig = [s.relaxed_sigma()[0] for s in (whole, part)]
+                sig = [s.relaxed_sigma() for s in (whole, part)]
                 forced = [j for j, st in zip(whole.r_idx, status) if st == 1]
                 undecided = [j for j, st in zip(whole.r_idx, status)
                              if st == 0]

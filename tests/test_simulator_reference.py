@@ -2,23 +2,28 @@
 
 Each ref_* function below is the earlier loop implementation, kept here
 only as the reference: demand draws, repositioning, routing, the prospect
-field, sensing gains, candidate construction and the truthful restatement
-must return bit-identical floats, in the same order, and consume the same
-random stream.
+field, sensing gains, candidate construction, the settle index and the
+truthful restatement must return bit-identical floats, in the same order,
+and consume the same random stream.
 """
 
 import dataclasses
+import gzip
 import itertools
+import json
 import math
 import pickle
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from senseauction import market, pricing, simengine
+from senseauction import assignment as asg
+from senseauction import market, pricing, properties, simengine
 from senseauction import sensing as sensing_mod
-from senseauction.assignment import CandidateEdge, build_candidates
+from senseauction.assignment import (CandidateEdge, MatchingProblem,
+                                     build_candidates)
 from senseauction.errors import GeometryError
 from senseauction.gridworld import (CellRoute, _EPS, build_grid, load_world,
                                     opportunity_cost, route)
@@ -30,6 +35,8 @@ from senseauction.simengine import (ScenarioConfig, SimulationState,
 
 RATES = Rates(alpha=1.5, beta=2.75)
 _TOL = 1e-9
+SMALL_MARKETS = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                 / "markets_small.json.gz")
 
 
 # --- reference implementations ----------------------------------------------
@@ -595,3 +602,161 @@ def test_truthful_priced_equals_per_edge_minimum_loop(seed):
         assert same_floats([x for m in got.priced for x in (m.P_d, m.P_r)],
                            [x for m in want.priced for x in (m.P_d, m.P_r)])
         assert got == want
+
+
+# --- (f) the columnar settle index -----------------------------------------
+
+def ref_index(edges):
+    """The settle index as it was built edge by edge: the drivers and riders
+    with an edge, in id order; each edge's sigma, presence and object; each
+    rider's zeta, which must be one value."""
+    d_index = {d: i for i, d in enumerate(sorted({e.driver for e in edges}))}
+    r_index = {r: j for j, r in enumerate(sorted({e.rider for e in edges}))}
+    shape = len(d_index), len(r_index)
+    s_raw = np.zeros(shape)
+    has_edge = np.zeros(shape, dtype=bool)
+    by_pair = np.empty(shape, dtype=object)
+    for e in edges:
+        ij = d_index[e.driver], r_index[e.rider]
+        s_raw[ij] = e.sigma
+        has_edge[ij] = True
+        by_pair[ij] = e
+    zr = {}
+    for e in edges:
+        assert zr.setdefault(e.rider, e.zeta) == e.zeta
+    return d_index, r_index, s_raw, has_edge, by_pair, zr
+
+
+def assert_index_equals_reference(index, edges, sensing):
+    d_index, r_index, s_raw, has_edge, by_pair, zr = ref_index(edges)
+    assert list(index.d_index.items()) == list(d_index.items())
+    assert list(index.r_index.items()) == list(r_index.items())
+    assert index.s_raw.shape == s_raw.shape
+    assert index.s_raw.tobytes() == s_raw.tobytes()   # signs of zero too
+    assert np.array_equal(index.has_edge, has_edge)
+    assert np.array_equal(index.eid >= 0, has_edge)
+    assert index.table.at(index.eid[has_edge]) == tuple(by_pair[has_edge])
+    if sensing:
+        assert same_floats(index.zc.tolist(), [zr[r] for r in r_index])
+        assert index.zr == zr
+
+
+def ref_tau_min(drivers, riders, edges):
+    tau_min = {p.id: math.inf for p in [*drivers, *riders]}
+    for e in edges:
+        tau_min[e.driver] = min(tau_min[e.driver], e.tau)
+        tau_min[e.rider] = min(tau_min[e.rider], e.tau)
+    return tau_min
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_columnar_index_equals_edge_built_reference(seed, radius):
+    """settle_index on build_candidates' columns holds what the edge-by-edge
+    index held: row and column order, s_raw, has_edge, the edge of each
+    cell and each rider's zeta; and tau_min is each side's least pick-up.
+    The scenes include markets with no driver, no rider and no edge."""
+    scenes = [candidate_scene(seed, n_drivers, n_riders, radius)
+              for n_drivers, n_riders in [(0, 5), (5, 0), (1, 1), (20, 12),
+                                          (60, 30)]]
+    scenes.append(candidate_scene(seed, 5, 5, radius)[:-1] + (-1.0,))
+    for args in scenes:
+        problem = build_candidates(*args)
+        edges = ref_build_candidates(*args)
+        for objective, kept in ((asg.SENSING, edges),
+                                (asg.WELFARE,
+                                 [e for e in edges if e.sigma >= 0.0])):
+            problem.objective = objective
+            assert_index_equals_reference(asg.settle_index(problem), kept,
+                                          objective == asg.SENSING)
+        assert problem.tau_min == ref_tau_min(args[0], args[1], edges)
+        assert asg.problem_to_json(problem) == asg.problem_to_json(
+            MatchingProblem(edges, problem.drivers, problem.riders,
+                            problem.objective))
+
+
+@pytest.fixture(scope="module")
+def sim_cell_settles():
+    """(mechanism, problem, rates, floor, settlement) for every epoch of one
+    default cell per mechanism (scenario 3, fleet 20, seed 0)."""
+    seen = []
+    settle = pricing.settle_epoch
+
+    def record(mechanism, problem, rates, floor_enabled=True):
+        settled = settle(mechanism, problem, rates, floor_enabled)
+        seen.append((mechanism, problem, rates, floor_enabled, settled))
+        return settled
+
+    pricing.settle_epoch = record
+    try:
+        for mechanism in (pricing.VCG, pricing.DS):
+            simengine.run_scenario(ScenarioConfig(
+                fleet_size=20, demand_scenario=3, seed=0), mechanism)
+    finally:
+        pricing.settle_epoch = settle
+    assert {s[0] for s in seen} == {pricing.VCG, pricing.DS}
+    return seen
+
+
+def assert_same_settlement(got, want):
+    """The same chosen edges in the same order, and bit-identical prices."""
+    assert got.solution.chosen == want.solution.chosen
+    fields = ("rho_d", "rho_r", "q_d", "q_r", "share_d", "share_r")
+    assert same_floats(
+        [getattr(m, f) for m in got.priced for f in fields]
+        + [got.revenue, got.welfare_total, got.sensing_total],
+        [getattr(m, f) for m in want.priced for f in fields]
+        + [want.revenue, want.welfare_total, want.sensing_total])
+
+
+def test_columnar_markets_settle_like_edge_built_ones(sim_cell_settles):
+    """Each epoch market settles the same from build_candidates' columns as
+    from a problem built from its edge list, and both its indexes equal the
+    edge-built reference."""
+    for mechanism, problem, rates, floor, settled in sim_cell_settles:
+        rebuilt = MatchingProblem(list(problem.edges), problem.drivers,
+                                  problem.riders)
+        assert_index_equals_reference(asg._Instance(problem.table),
+                                      problem.edges, True)
+        assert_index_equals_reference(
+            asg._welfare_index(problem),
+            [e for e in problem.edges if e.sigma >= 0.0], False)
+        assert_same_settlement(
+            settled, pricing.settle_epoch(mechanism, rebuilt, rates, floor))
+
+
+def test_json_round_trip_settles_the_same(sim_cell_settles):
+    """problem_from_json(problem_to_json(p)) settles like p under both
+    mechanisms."""
+    for _, problem, rates, _, _ in sim_cell_settles:
+        back = asg.problem_from_json(asg.problem_to_json(problem))
+        assert back.drivers == problem.drivers
+        assert back.riders == problem.riders
+        for mechanism, floor in ((pricing.VCG, False), (pricing.DS, True)):
+            assert_same_settlement(
+                pricing.settle_epoch(mechanism, back, rates, floor),
+                pricing.settle_epoch(mechanism, problem, rates, floor))
+
+
+def test_problem_to_json_rewrites_the_saved_small_markets():
+    """The saved markets-small documents, written by problem_to_json when
+    they were captured, come back byte for byte."""
+    with gzip.open(SMALL_MARKETS, "rt") as fh:
+        entries = json.load(fh)["markets"]
+    assert len(entries) > 500
+    for entry in entries:
+        doc = entry["problem"]
+        assert (asg.problem_to_json(asg.problem_from_json(doc))
+                == json.dumps(doc, indent=2))
+
+
+def test_pricing_guarantees_hold_on_simulator_markets(sim_cell_settles):
+    """The settlement checks of the property harness (VCG deficit, bonus
+    signs and pivots, DS budget balance, shares, IR with and without the
+    floor, weak budget balance with it) on every epoch market of a default
+    run, outside the KPI path."""
+    checked = 0
+    for _, problem, rates, _, _ in sim_cell_settles:
+        properties.check_market_settlement(problem, rates)
+        checked += problem.table.di.size > 0
+    assert checked > 100

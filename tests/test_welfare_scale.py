@@ -110,16 +110,16 @@ def is_tie(problem):
     only matching within 1e-9 of the optimum, because zeroing any picked
     edge's weight costs the optimum more than 1e-9 and no edge joins a
     driver and a rider that the pick leaves unmatched."""
-    m = asg._welfare_index(problem.edges)
+    m = asg._welfare_index(problem)
     w = m.s_raw.copy()
-    value, pick = asg._lsa_pick(w, m.by_pair)
+    value, pick = m.lsa_pick(w)
     rows = [m.d_index[e.driver] for e in pick]
     cols = [m.r_index[e.rider] for e in pick]
     if np.delete(np.delete(m.has_edge, rows, 0), cols, 1).any():
         return True
     for i, j in zip(rows, cols):
         weight, w[i, j] = w[i, j], 0.0
-        without = asg._lsa_pick(w, m.by_pair)[0]
+        without = m.lsa_pick(w)[0]
         w[i, j] = weight
         if value - without <= 1e-9:
             return True
@@ -139,8 +139,8 @@ def test_welfare_max_equals_exact_search_at_scale(markets):
             paths["tie"] += 1
             continue
         paths["unique"] += 1
-        m = asg._welfare_index(problem.edges)
-        pick = asg._lsa_pick(m.s_raw, m.by_pair)[1]
+        m = asg._welfare_index(problem)
+        pick = m.lsa_pick(m.s_raw)[1]
         assert got.chosen == pick            # same edges, same order
         assert list(pick) == sorted(pick, key=lambda e: e.driver)
     assert paths["unique"] > 0 and paths["tie"] > 0, paths
@@ -154,7 +154,7 @@ def test_welfare_face_is_cut_by_an_optimal_dual(markets):
     least the riders' point does. All within 1e-9, since a driver that
     another driver can replace may get about -1e-15."""
     for problem in markets:
-        m = asg._welfare_index(problem.edges)
+        m = asg._welfare_index(problem)
         pick, u_max, v_min, v_max = m.core
         rows = [m.d_index[e.driver] for e in pick]
         cols = [m.r_index[e.rider] for e in pick]
@@ -204,7 +204,7 @@ def test_face_bound_covers_every_completion():
     rng = np.random.default_rng(0)
     states = 0
     for problem in SMALL:
-        m = asg._welfare_index(problem.edges)
+        m = asg._welfare_index(problem)
         _, u, v, _ = m.core
         face = asg._welfare_face(m, u, v)
         bound = asg._FaceBound(m, face, u, v)
@@ -249,7 +249,7 @@ def test_welfare_solve_costs_one_lsa_and_the_pick_removals(markets,
     calls = counted_lsa(monkeypatch)
     empty = 0
     for problem in markets + [NEGATIVE, MatchingProblem([], ("d0",), ())]:
-        expected = int(asg._welfare_index(problem.edges).s_raw.size > 0)
+        expected = int(asg._welfare_index(problem).s_raw.size > 0)
         empty += 1 - expected
         del calls[:]
         asg.solve_welfare_max(problem)
@@ -266,7 +266,7 @@ def test_tie_settle_solves_each_removal_once(markets, monkeypatch):
     calls = counted_lsa(monkeypatch)
     shared = 0
     for problem in markets + [NEGATIVE, MatchingProblem([], ("d0",), ())]:
-        expected = int(asg._welfare_index(problem.edges).s_raw.size > 0)
+        expected = int(asg._welfare_index(problem).s_raw.size > 0)
         del calls[:]
         settled = settle_epoch(VCG, problem, RATES)
         assert len(calls) == expected
