@@ -12,9 +12,13 @@ Which path runs:
   with sigma >= 0 gives the optimum and a pick, the only incumbent of
   _welfare_tie_break: an edge branch-and-bound over the welfare face
   (_welfare_face), bounded by the face's duals (_FaceBound) with no LSA.
-  The duals are the drivers' best core point (_core_point). chosen is the
-  winner's order, observable in the event log: driver id for the pick,
-  (-sigma, tau, pair) for a branch-and-bound leaf.
+  Every optimal matching is tight under every optimal dual, so the face is
+  the sigma > 0 edges tight under both of the core's extreme points
+  (_Instance.core, _core_point); the bound reads the drivers' best point
+  over the live edges (undecided, both ends free) the walk carries. A face
+  that is the pick alone holds no other leaf, so it is not walked. chosen
+  is the winner's order, observable in the event log: driver id for the
+  pick, (-sigma, tau, pair) for a branch-and-bound leaf.
 - Columnar market: a MatchingProblem holds its edges as an _EdgeTable,
   one array per field over the edges, with the drivers and riders that have
   an edge in id order. build_candidates fills it directly; a problem built
@@ -35,9 +39,11 @@ Which path runs:
   (_optimal_primary_riders), every DS removal and pass 2 (_pass2_riders,
   with pass 1's matching as its only incumbent) each walk rider subsets on
   one _RiderSearch: one rider order, one zeta bound and one big-M welfare
-  relaxation (relaxed_sigma), also behind pass 2's tie-break of each rider
-  set (best_for_set). chosen is the winner's order: driver id for pass 1's
-  matching, rider id for a best_for_set result.
+  relaxation (_RiderSearch.relaxation), also behind pass 2's tie-break of each rider
+  set (best_for_set). Pass 2 walks pass 1's search and reads the welfare
+  totals pass 1 solved instead of solving them again. chosen is the
+  winner's order: driver id for pass 1's matching, rider id for a
+  best_for_set result.
 - DS removal marginals (sensing_marginals): each removal is a pass-1 search
   over a slice of the settle's _Instance (_removals), so it sees exactly
   the arrays a rebuilt reduced index would hold. It starts from an
@@ -45,7 +51,9 @@ Which path runs:
   rider for a rider removal, kept only if it meets the welfare floor, and
   ends once it reaches the full optimum U* (within 1e-12). That is exact:
   removing a participant only deletes feasible matchings, so no removal's
-  optimum exceeds U*. Most driver removals cost one LSA.
+  optimum exceeds U*. Most driver removals cost one LSA: one whose
+  incumbent meets the floor and reaches U* ends at that test and builds
+  none of the walk's state, which is made on first read.
 - Row cut (_Instance.search_rows), once per settle when there are more
   than n_c + 1 drivers for n_c riders: removal searches keep only the
   rows among some rider's n_c + 1 best drivers by sigma (ties to the lower
@@ -69,9 +77,15 @@ Which path runs:
   share it. A search turns the bound on after _LAGRANGE_AFTER nodes. A
   child whose parent's Lagrangian matching still fits it (the riders it
   serves stay in, the others out) inherits the bound without an LSA, and
-  an inner node whose held matching has welfare >= _FLOOR_SLACK skips
-  relaxed_sigma, which it would pass for sure.
-- Inherited welfare test: in pass 1 and every removal, relaxed_sigma's
+  an inner node whose held matching has welfare >= _FLOOR_SLACK skips the
+  welfare relaxation, which it would pass for sure. A node builds only what
+  it reads (_NodeSolve): its value is tested first, and where that prunes
+  the held matching's zeta total cannot beat best_p.
+- Welfare bound (welfare_steps): beside cur_p the walk carries an O(1)
+  bound on the welfare relaxation (forced columns' best sigma plus
+  undecided ones' positive best); below -_TOL - _FLOOR_SLACK a node
+  prunes without that LSA, which would fail the floor too.
+- Inherited welfare test: in pass 1 and every removal, the relaxation's
   matching passes to a child by the same rule, when its welfare is >=
   _FLOOR_SLACK, and that child runs no welfare LSA. The matching still
   fits the child, so the child's optimum is at least its welfare, which
@@ -97,10 +111,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -118,16 +130,31 @@ _PRUNE_TOL = 1e-12
 # 329 LSAs at 16, 399 at 32, 419 without the bound). Removal searches on an
 # integral index hold it from the root instead; inf turns it off everywhere.
 _LAGRANGE_AFTER = 16
-# Welfare margin between the Lagrangian tests and the big-M welfare
-# relaxation (relaxed_sigma) they must agree with. That relaxation rounds
-# each forced term at ulp(big), about 2e-9 on 150-driver markets (big ~1e7),
-# so its totals and its LSA's choice can be off by ~1e-7 there. A prune
-# grants leaves lam * 1e-4 more bound than the floor allows, and a node
-# skips relaxed_sigma only when a matching it holds has welfare >= 1e-4.
+# Welfare margin between the Lagrangian tests and the walk's welfare bound
+# and the big-M welfare relaxation they must agree with. That relaxation
+# rounds each forced term at ulp(big), about 2e-9 on 150-driver markets (big
+# ~1e7), so its totals and its LSA's choice can be off by ~1e-7 there. A
+# prune grants leaves lam * 1e-4 more bound than the floor allows, a node
+# skips the relaxation only when a matching it holds has welfare >= 1e-4,
+# and the welfare bound prunes only below -1e-9 - 1e-4.
 _FLOOR_SLACK = 1e-4
 
 WELFARE = "welfare"
 SENSING = "sensing"
+
+
+class _lazy:
+    """functools.cached_property without the lock Python 3.11 takes at each
+    first read, which costs more than most search-node fields."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -347,8 +374,9 @@ def solve_sensing_max(problem: MatchingProblem,
     `inst` is the problem's settle_index, built here when not given.
     """
     inst = _Instance(problem.table) if inst is None else inst
-    p_star, (rows, cols) = _optimal_primary_riders(_RiderSearch(inst))
-    chosen = _pass2_riders(inst, p_star, inst.table.at(inst.eid[rows, cols]))
+    search = _RiderSearch(inst)
+    p_star, (rows, cols) = _optimal_primary_riders(search)
+    chosen = _pass2_riders(search, p_star, inst.table.at(inst.eid[rows, cols]))
     return MatchingSolution(chosen=chosen,
                             objective_value=_canonical_sum(chosen, "zeta"),
                             welfare_total=_canonical_sum(chosen, "sigma"))
@@ -515,52 +543,59 @@ def _welfare_tie_break(m: _Instance) -> tuple[CandidateEdge, ...]:
     incumbent. chosen keeps the winner's order.
     """
     pick, u, v, _ = m.core
-    if not pick:
-        return pick     # no sigma > 0 edge, so nothing can beat it
+    face = _welfare_face(m)
+    if len(face) == len(pick) and all(e.sigma > 1e-6 for e in pick):
+        # The face is the pick (or empty): every other leaf drops a pick
+        # edge, so it falls more than _TOL below p*.
+        return pick
     p_star = _canonical_sum(pick, "sigma")
     best_key, best_chosen = _solution_key(pick, "sigma"), pick
-    face = _welfare_face(m, u, v)
     bound = _FaceBound(m, face, u, v)
-    ends, n_edges = bound.ends, len(face)
-    free_d, free_r = ([True] * n for n in m.s_raw.shape)
+    ends = bound.ends
     stack: list[CandidateEdge] = []
 
-    def recurse(idx, cur_v, cur_t):
+    def recurse(live, cur_v, cur_t):
+        # live: the undecided face edges whose ends are both free, in order.
         nonlocal best_key, best_chosen
-        while idx < n_edges:
-            i, j = ends[idx]
-            if free_d[i] and free_r[j]:
-                break
-            idx += 1
-        if idx == n_edges:
+        if not live:
             if cur_v < p_star - _TOL:
                 return
             key = _solution_key(stack, "sigma")
             if _better(key, best_key):
                 best_key, best_chosen = key, tuple(stack)
             return
-        ub_v = cur_v + bound(free_d, free_r, idx)
+        ub_v = cur_v + bound(live)
         if ub_v < best_key[1] - _PRUNE_TOL:
             return
         if ub_v <= best_key[1] + _PRUNE_TOL and cur_t > best_key[2] + _PRUNE_TOL:
             return
-        e = face[idx]
-        free_d[i] = free_r[j] = False
+        e, rest = face[live[0]], live[1:]
+        i, j = ends[live[0]]
         stack.append(e)
-        recurse(idx + 1, cur_v + e.sigma, cur_t + e.tau)
+        recurse([k for k in rest if ends[k][0] != i and ends[k][1] != j],
+                cur_v + e.sigma, cur_t + e.tau)
         stack.pop()
-        free_d[i] = free_r[j] = True
-        recurse(idx + 1, cur_v, cur_t)
+        recurse(rest, cur_v, cur_t)
 
-    recurse(0, 0.0, 0.0)
+    recurse(list(range(len(face))), 0.0, 0.0)
     return best_chosen
 
 
-def _welfare_face(m: _Instance, u, v):
-    """The sigma > 0 edges of m with reduced cost <= 1e-6 under optimal duals
-    u, v, in (-sigma, tau, pair) order: every optimal matching lies on them."""
-    keep = (m.s_raw > 0.0) & (u[:, None] + v[None, :] - m.s_raw <= 1e-6)
-    return sorted(m.table.at(m.eid[keep]),
+def _welfare_face(m: _Instance):
+    """The sigma > 0 edges of m with reduced cost <= 1e-6 under both of the
+    core's extreme points, (u_max, v_min) and (u_min = sigma - v_max on the
+    pick, v_max), in (-sigma, tau, pair) order: every optimal matching lies
+    on them. The pick does, so only a larger face takes the second test."""
+    pick, u, v, v_max = m.core
+    fi, fj = ((m.s_raw > 0.0)
+              & (u[:, None] + v[None, :] - m.s_raw <= 1e-6)).nonzero()
+    if fi.size > len(pick):
+        rows, cols = m.pick_cells
+        u_min = np.zeros_like(u)
+        u_min[rows] = m.s_raw[rows, cols] - v_max[cols]
+        tight = u_min[fi] + v_max[fj] - m.s_raw[fi, fj] <= 1e-6
+        fi, fj = fi[tight], fj[tight]
+    return sorted(m.table.at(m.eid[fi, fj]),
                   key=lambda e: (-e.sigma, e.tau, e.pair))
 
 
@@ -584,8 +619,8 @@ def _core_point(w: np.ndarray, rows, cols):
 
 
 class _FaceBound:
-    """What the undecided face edges (index >= idx, both ends free) can still
-    add at a node of _welfare_tie_break. By weak duality a matching of k of
+    """What the live face edges (undecided, both ends free) can still add
+    at a node of _welfare_tie_break. By weak duality a matching of k of
     them adds at most max(u, 0) and max(v, 0) summed over the vertices they
     can join, plus k times the face's most negative reduced cost, which
     rounding leaves; math.fsum adds no rounding of its own."""
@@ -596,12 +631,11 @@ class _FaceBound:
         self.slack = max([0.0] + [-math.fsum((u[i], v[j], -e.sigma))
                                   for (i, j), e in zip(self.ends, face)])
 
-    def __call__(self, free_d, free_r, idx) -> float:
-        rows, cols = set(), set()
-        for i, j in self.ends[idx:]:
-            if free_d[i] and free_r[j]:
-                rows.add(i)
-                cols.add(j)
+    def __call__(self, live) -> float:
+        """live: the positions in the face of the live edges."""
+        ends = self.ends
+        rows = {ends[k][0] for k in live}
+        cols = {ends[k][1] for k in live}
         return math.fsum([self.u[i] for i in rows] + [self.v[j] for j in cols]
                          + [self.slack] * min(len(rows), len(cols)))
 
@@ -672,7 +706,7 @@ class _Instance:
         self.eid[rows, cols] = ids
         self._floor_lam: float | None = None
 
-    @cached_property
+    @_lazy
     def has_edge(self) -> np.ndarray:
         # The welfare program never reads it.
         return self.eid >= 0
@@ -683,7 +717,7 @@ class _Instance:
         value, rows, cols = _lsa_cells(w)
         return value, self.table.at(self.eid[rows, cols])
 
-    @cached_property
+    @_lazy
     def zc(self) -> np.ndarray:
         """Each column's zeta."""
         zeta, col = self.table.zeta[self.ids], self.edge_cols
@@ -694,22 +728,22 @@ class _Instance:
             raise ContractError(f"rider {rider!r} has two zeta values")
         return zc
 
-    @cached_property
+    @_lazy
     def zr(self) -> dict[str, float]:
         return dict(zip(self.r_index, self.zc.tolist()))
 
-    @cached_property
+    @_lazy
     def rider_ids(self) -> list[str]:
         """Each column's rider id."""
         return list(self.r_index)
 
-    @cached_property
+    @_lazy
     def rider_order(self) -> list[str]:
         """The riders in the searches' (-zeta, id) order."""
         zr = self.zr
         return sorted(self.r_index, key=lambda r: (-zr[r], r))
 
-    @cached_property
+    @_lazy
     def zeta_integral(self) -> bool:
         """Every rider's zeta is a whole number, and so is every sum of them
         in float: a feasible sensing total is then an integer."""
@@ -717,7 +751,7 @@ class _Instance:
         return (all(z.is_integer() for z in zeta)
                 and sum(map(abs, zeta)) < 2.0 ** 52)
 
-    @cached_property
+    @_lazy
     def search_rows(self) -> np.ndarray | None:
         """The rows a removal search keeps, as a mask, or None for all of
         them: each column's n_c + 1 best edges by sigma, for n_c columns.
@@ -733,15 +767,25 @@ class _Instance:
         keep[top[self.has_edge[top, np.arange(n_c)]]] = True
         return None if keep.all() else keep
 
-    @cached_property
+    @_lazy
+    def col_best(self) -> list[float]:
+        """Each column's best sigma: a slice's is at most this."""
+        return np.where(self.has_edge, self.s_raw, -np.inf).max(axis=0).tolist()
+
+    @_lazy
     def z_raw(self) -> np.ndarray:
         return np.where(self.has_edge, self.zc, 0.0)
 
-    @cached_property
+    @_lazy
+    def pick_cells(self):
+        """The welfare program's LSA pick as cells (rows, cols)."""
+        return _lsa_cells(self.s_raw)[1:]
+
+    @_lazy
     def core(self):
         """The welfare program's LSA pick, the drivers' core point (u_max,
         v_min) and the riders' v_max (_core_point)."""
-        _, rows, cols = _lsa_cells(self.s_raw)
+        rows, cols = self.pick_cells
         pick = self.table.at(self.eid[rows, cols])
         u_max, v_min = _core_point(self.s_raw, rows, cols)
         return pick, u_max, v_min, _core_point(self.s_raw.T, cols, rows)[0]
@@ -787,14 +831,44 @@ class _Instance:
         return self._floor_lam
 
 
-class _Relaxed(NamedTuple):
-    """One Lagrangian node solve: its value, the riders its matching serves
-    beyond the forced ones, the matching's cells and its welfare."""
-    value: float
-    served: frozenset
-    rows: np.ndarray
-    cols: np.ndarray
-    sigma: float
+class _NodeSolve:
+    """One LSA at a search node, over the gathered columns idx (j, or j + n_c
+    so that idx % n_c names it), the first n_f of them forced; no LSA when
+    idx is empty. value, its total, is read at every node; the matching's
+    cells (rows, cols) in row order, the columns it serves beyond the forced
+    ones and its welfare are made on first read."""
+
+    def __init__(self, value, s_raw, picked=None, ri=None, ci=None, idx=(),
+                 n_f=0):
+        self.value, self._s_raw, self._n_f = value, s_raw, n_f
+        self._lsa = picked, ri, ci, idx
+
+    @_lazy
+    def cells(self):
+        """(rows, cols), and each cell's place among idx."""
+        picked, ri, ci, idx = self._lsa
+        if picked is None:
+            return (np.empty(0, np.intp),) * 3
+        n_d, n_c = self._s_raw.shape
+        keep = picked > 0.0
+        if self._n_f:
+            keep |= ci < self._n_f
+        if len(idx) > n_d:
+            keep[n_d:] = False      # a square matrix's pad rows come last
+        ci = ci[keep]
+        return ri[keep], np.asarray(idx, dtype=np.intp)[ci] % n_c, ci
+
+    rows = property(lambda self: self.cells[0])
+    cols = property(lambda self: self.cells[1])
+
+    @_lazy
+    def served(self) -> frozenset:
+        _, cols, place = self.cells
+        return frozenset(cols[place >= self._n_f].tolist())
+
+    @_lazy
+    def sigma(self) -> float:
+        return float(self._s_raw[self.rows, self.cols].sum())
 
 
 class _FloorBound:
@@ -806,7 +880,7 @@ class _FloorBound:
     because the assignment polytope is integral: forced columns carry
     zeta + lam * sigma and -inf on missing edges; an undecided column may
     also stay unserved, so it carries max(zeta + lam * sigma, 0) and 0 on
-    missing edges, and zero-weight dummy rows (-inf under forced columns)
+    missing edges, and zero-weight pad rows (-inf under forced columns)
     make up any shortfall of drivers. An infeasible LSA (ValueError) means
     no matching serves the forced riders.
 
@@ -818,46 +892,53 @@ class _FloorBound:
         """zeta holds each column's zeta."""
         self.lam = lam
         self.s_raw = s_raw
-        n_c = has_edge.shape[1]
+        n_d, n_c = has_edge.shape
         self.zeta = zeta
         w = zeta[None, :] + lam * s_raw
-        # Undecided columns, then forced ones, so a node's matrix is one
-        # gather.
-        self.weights = np.empty((s_raw.shape[0], 2 * n_c))
-        self.weights[:, :n_c] = np.where(has_edge, np.maximum(w, 0.0), 0.0)
-        self.weights[:, n_c:] = np.where(has_edge, w, -np.inf)
+        # Transposed: forced columns, then undecided ones (gathered as
+        # j + n_c), each over the drivers and then the pad rows, so a node's
+        # matrix is one gather of rows.
+        self.weights = np.zeros((2 * n_c, max(n_d, n_c)))
+        self.weights[:n_c] = -np.inf
+        self.weights[:n_c, :n_d] = np.where(has_edge, w, -np.inf).T
+        self.weights[n_c:, :n_d] = np.where(has_edge, np.maximum(w, 0.0), 0.0).T
         # An undecided column that no edge gives a positive weight is never
         # served, so it is left out of every solve.
-        self.useful = (self.weights[:, :n_c].max(axis=0, initial=0.0)
+        self.useful = (self.weights[n_c:].max(axis=1, initial=0.0)
                        > 0.0).tolist()
         scale = float(np.abs(w[has_edge]).max(initial=0.0))
         self.slack = (lam * _FLOOR_SLACK
                       + 1e-12 * (1.0 + n_c * scale))
 
-    def __call__(self, forced_cols, open_cols) -> _Relaxed | None:
-        n_f, useful = len(forced_cols), self.useful
-        cols = forced_cols + [j for j in open_cols if useful[j]]
-        (n_d, n_all), n_c = self.s_raw.shape, len(cols)
-        if n_c == 0:
-            return _Relaxed(0.0, frozenset(), np.empty(0, int),
-                            np.empty(0, int), 0.0)
-        w = self.weights.take([j + n_all for j in forced_cols] + cols[n_f:],
-                              axis=1)
-        if n_d < n_c:
-            pad = np.zeros((n_c - n_d, n_c))
-            pad[:, :n_f] = -np.inf
-            w = np.vstack((w, pad))
+    def opened(self, cols) -> list:
+        """The gather indices of the useful columns among the undecided
+        cols, in their order."""
+        n_c, useful = len(self.useful), self.useful
+        return [j + n_c for j in cols if useful[j]]
+
+    def __call__(self, forced_cols: list, open_idx: list) -> _NodeSolve | None:
+        """The bound with forced_cols served and the columns of open_idx
+        (opened()) undecided; every other column is excluded."""
+        idx = forced_cols + open_idx
+        if not idx:
+            return _NodeSolve(0.0, self.s_raw)
+        n_d = self.s_raw.shape[0]
+        wt = self.weights[:, :max(n_d, len(idx))].take(idx, axis=0)
         try:
-            ri, ci = linear_sum_assignment(w, maximize=True)
+            if len(idx) < n_d:
+                # The LSA solves a tall matrix as its transpose, so handing
+                # it that transpose gives the same matching without the
+                # copy; it is put back in row order.
+                ci, ri = linear_sum_assignment(wt, maximize=True)
+                order = ri.argsort()
+                ri, ci = ri[order], ci[order]
+            else:
+                ri, ci = linear_sum_assignment(wt.T, maximize=True)
         except ValueError:
             return None
-        picked = w[ri, ci]
-        keep = (ri < n_d) & ((ci < n_f) | (picked > 0.0))
-        rows, ci = ri[keep], ci[keep]
-        cols = np.asarray(cols)[ci]
-        return _Relaxed(float(picked.sum()),
-                        frozenset(cols[ci >= n_f].tolist()),
-                        rows, cols, float(self.s_raw[rows, cols].sum()))
+        picked = wt[ci, ri]
+        return _NodeSolve(float(picked.sum()), self.s_raw, picked, ri, ci, idx,
+                          len(forced_cols))
 
 
 class _RiderSearch:
@@ -867,11 +948,13 @@ class _RiderSearch:
     The sensing total depends only on which riders are matched, so the
     search decides riders one by one in (-zeta, id) order (r_idx holds their
     columns), 'in' before 'out'. zeta_bound is the prefix-sum bound on what
-    the undecided riders can add. relaxed_sigma is the big-M welfare
+    the undecided riders can add. relaxation is the big-M welfare
     relaxation at the current status (0 undecided, 1 in, 2 out), and
     best_for_set tie-breaks one fixed rider set. A slice may also drop the
     rows outside `cut` (_Instance.search_rows); n_d and big still count
-    them, so every bound and total is that of the uncut slice.
+    them, so every bound and total is that of the uncut slice. What only a
+    walk reads is made on first read, so a removal that its incumbent
+    decides builds none of it.
     """
 
     def __init__(self, inst: _Instance, rows=None, cols=None, cut=None):
@@ -888,106 +971,144 @@ class _RiderSearch:
             grid, s_raw = (rows[kept][:, None], cols), s_raw[kept]
         self.s_raw, self.has_edge, self.eid = (
             s_raw, inst.has_edge[grid], inst.eid[grid])
+        self._inst = inst
         self.table = inst.table
-        self._weights = None
         zr = inst.zr
         self.zc = inst.zc if rows is None else inst.zc[cols]
         self.integral = inst.zeta_integral
-        self.floor_lam = inst.floor_multiplier
         self.riders = order
         self.zeta = [zr[r] for r in order]
         self.r_idx = [self.r_index[r] for r in order]
-        self.suffix = suffix = [0.0] * (len(order) + 1)
-        for k in range(len(order) - 1, -1, -1):
-            suffix[k] = suffix[k + 1] + max(self.zeta[k], 0.0)
         self.status = [0] * len(self.riders)
-        self.nodes = 0
+        # The solve's search keeps its welfare totals by status, for pass 2.
+        self.totals = {} if rows is None else None
         self.lag = None
 
+    @_lazy
+    def suffix(self) -> list[float]:
+        suffix = [0.0] * (len(self.zeta) + 1)
+        for k in range(len(self.zeta) - 1, -1, -1):
+            suffix[k] = suffix[k + 1] + max(self.zeta[k], 0.0)
+        return suffix
+
+    @_lazy
+    def welfare_steps(self):
+        """The walk's O(1) bound on the welfare relaxation: each forced
+        column's best sigma plus each undecided column's positive best.
+        Its root value, and what an 'in' and an 'out' step at depth k add."""
+        best, at = self._inst.col_best, self._inst.r_index
+        best = [best[at[r]] for r in self.riders]
+        return (sum(b for b in best if b > 0.0), [min(b, 0.0) for b in best],
+                [-max(b, 0.0) for b in best])
+
+    @_lazy
+    def floor_bound(self) -> _FloorBound:
+        return _FloorBound(self.s_raw, self.has_edge, self.zc,
+                           self._inst.floor_multiplier())
+
+    @_lazy
     def edge_weights(self) -> np.ndarray:
-        """The welfare relaxation's weights, built on first use: optional
-        columns then required ones, so a node's matrix is one gather. An
-        optional edge carries max(sigma, 0) (0 off the edges, where s_raw is
-        0), a required one sigma + big (-big off the edges)."""
-        if self._weights is None:
-            n_c = self.s_raw.shape[1]
-            w = np.empty((self.s_raw.shape[0], 2 * n_c))
-            np.maximum(self.s_raw, 0.0, out=w[:, :n_c])
-            w[:, n_c:] = np.where(self.has_edge, self.s_raw + self.big,
-                                  -self.big)
-            self._weights = w
-        return self._weights
+        """The welfare relaxation's weights: optional columns then required
+        ones, so a node's matrix is one gather. An optional edge carries
+        max(sigma, 0) (0 off the edges, where s_raw is 0), a required one
+        sigma + big (-big off the edges)."""
+        n_c = self.s_raw.shape[1]
+        w = np.empty((self.s_raw.shape[0], 2 * n_c))
+        np.maximum(self.s_raw, 0.0, out=w[:, :n_c])
+        w[:, n_c:] = np.where(self.has_edge, self.s_raw + self.big, -self.big)
+        return w
 
     def zeta_bound(self, k, n_in, cur_p):
         # Riders come in descending zeta: the suffix's top is its prefix.
         take = min(self.n_d - n_in, len(self.riders) - k)
         return cur_p + (self.suffix[k] - self.suffix[k + take])
 
-    def _relax(self, w, n_req):
-        """The welfare relaxation's one sum: (total, rows, cols) of one LSA
-        on w, n_req of whose columns are required (edge_weights). total
-        is None when a required column is left unmatched or matched on a
+    def _relax(self, w, idx, n_req) -> _NodeSolve | None:
+        """One LSA of the welfare relaxation on w, the gathered columns idx
+        (edge_weights), n_req of them required: its total less their big,
+        or None when a required column is left unmatched or matched on a
         missing edge, which shows up as a missing +big term."""
         ri, ci = linear_sum_assignment(w, maximize=True)
-        total = float(w[ri, ci].sum())
+        picked = w[ri, ci]
+        total = float(picked.sum())
         if total < n_req * self.big - self.big / 2:
-            return None, ri, ci
-        return total - n_req * self.big, ri, ci
+            return None
+        return _NodeSolve(total - n_req * self.big, self.s_raw, picked, ri,
+                          ci, idx)
 
-    def relaxation(self, cells=True):
+    def relaxation(self, cur_w=math.inf) -> _NodeSolve | None:
         """Max welfare with 'in' riders forced, undecided ones optional and
         'out' ones removed, or None when no matching serves the 'in' riders;
-        it bounds the welfare of every completion. With `cells`, also the
-        LSA's positive-weight cells as (rows, cols), in row order."""
+        it bounds the welfare of every completion. Its value is the total
+        (kept in totals), its cells the LSA's positive-weight cells. Also
+        None, with no LSA, when the walk's bound cur_w (welfare_steps) is
+        below -_TOL - _FLOOR_SLACK: the total would fail the floor too."""
+        if cur_w < -_TOL - _FLOOR_SLACK:
+            return None
         n_c = self.s_raw.shape[1]
         idx = [j + n_c * st for st, j in zip(self.status, self.r_idx)
                if st != 2]
         if not idx:
-            return 0.0, np.empty(0, int), np.empty(0, int)
-        w = self.edge_weights().take(idx, axis=1)
-        total, ri, ci = self._relax(w, self.status.count(1))
-        if total is None or not cells:
-            return total, None, None
-        keep = w[ri, ci] > 0.0
-        return total, ri[keep], np.asarray(idx)[ci[keep]] % n_c
+            node = _NodeSolve(0.0, self.s_raw)
+        else:
+            node = self._relax(self.edge_weights.take(idx, axis=1), idx,
+                               self.status.count(1))
+        if self.totals is not None:
+            self.totals[tuple(self.status)] = (None if node is None
+                                               else node.value)
+        return node
 
-    def relaxed_sigma(self):
-        """relaxation()'s total alone."""
-        return self.relaxation(cells=False)[0]
+    def welfare_total(self, cur_w):
+        """relaxation(cur_w)'s value, or None; from totals if solved."""
+        key = tuple(self.status)
+        if key in self.totals:
+            return self.totals[key]
+        node = self.relaxation(cur_w)
+        return None if node is None else node.value
 
     def run(self, open_node, visit, root=False):
         """Walk the rider subsets depth first.
 
-        open_node(k, n_in, cur_p) is a node's zeta test, before it counts.
-        After _LAGRANGE_AFTER counted nodes (from the root with `root`,
-        unless _LAGRANGE_AFTER is inf) the search holds a _FloorBound, and
-        each node a Lagrangian matching `held`: its parent's when that still
-        fits (served riders stay in, unserved ones out), else one solve, and
-        no matching prunes the node. visit(k, cur_p, held, fresh, fit) then
-        runs the node's floor tests and, at k == len(riders), its leaf. It
-        returns False to prune, else the served columns of a matching that
-        passes the welfare test with room to spare, or None: a child keeps
-        that `fit` by the same rule as `held`. With `root` a node takes
-        first the branch that `held` takes.
+        open_node(k, n_in, cur_p) is a node's zeta test, before it counts;
+        a search whose root fails it builds nothing more. After
+        _LAGRANGE_AFTER counted nodes (from the root with `root`, unless
+        _LAGRANGE_AFTER is inf) the walk holds the search's _FloorBound,
+        and each node a Lagrangian matching `held`: its parent's when that
+        still fits (served riders stay in, unserved ones out), else one
+        solve, and no matching prunes the node. visit(k, cur_p, cur_w,
+        held, fresh, fit) then runs the node's floor tests, where cur_w is
+        relaxation()'s welfare bound, and, at k == len(riders), its leaf.
+        It returns False to prune, else the served columns of a matching
+        that passes the welfare test with room to spare, or None: a child
+        keeps that `fit` by the same rule as `held`. With `root` a node
+        takes first the branch that `held` takes.
         """
+        if not open_node(0, 0, 0.0):
+            return
         n_d, n = self.n_d, len(self.riders)
         after = 0 if root and _LAGRANGE_AFTER < math.inf else _LAGRANGE_AFTER
-        status, r_idx = self.status, self.r_idx
+        status, r_idx, zeta = self.status, self.r_idx, self.zeta
+        w_root, w_in, w_out = self.welfare_steps
+        forced: list[int] = []      # the 'in' columns, in rider order
+        opens = {}                  # each depth's opened() undecided columns
+        nodes = 0
+        self.lag = None
 
-        def recurse(k, n_in, cur_p, held, fit):
+        def recurse(k, n_in, cur_p, cur_w, held, fit):
+            nonlocal nodes
             if not open_node(k, n_in, cur_p):
                 return
-            self.nodes += 1
-            if self.nodes > after and self.lag is None:
-                self.lag = _FloorBound(self.s_raw, self.has_edge, self.zc,
-                                       self.floor_lam())
+            nodes += 1
+            if nodes > after and self.lag is None:
+                self.lag = self.floor_bound
             fresh = self.lag is not None and held is None
             if fresh:
-                held = self.lag([j for j, st in zip(r_idx, status) if st == 1],
-                                r_idx[k:])
+                if k not in opens:
+                    opens[k] = self.lag.opened(r_idx[k:])
+                held = self.lag(forced, opens[k])
                 if held is None:
                     return
-            fit = visit(k, cur_p, held, fresh, fit)
+            fit = visit(k, cur_p, cur_w, held, fresh, fit)
             if fit is False or k == n:
                 return
             served = held is not None and r_idx[k] in held.served
@@ -995,18 +1116,21 @@ class _RiderSearch:
             out_first = root and held is not None and not served
             if out_first:
                 status[k] = 2
-                recurse(k + 1, n_in, cur_p, held, None if fits else fit)
+                recurse(k + 1, n_in, cur_p, cur_w + w_out[k], held,
+                        None if fits else fit)
             if n_in < n_d:
                 status[k] = 1
-                recurse(k + 1, n_in + 1, cur_p + self.zeta[k],
+                forced.append(r_idx[k])
+                recurse(k + 1, n_in + 1, cur_p + zeta[k], cur_w + w_in[k],
                         held if served else None, fit if fits else None)
+                forced.pop()
             if not out_first:
                 status[k] = 2
-                recurse(k + 1, n_in, cur_p, None if served else held,
-                        None if fits else fit)
+                recurse(k + 1, n_in, cur_p, cur_w + w_out[k],
+                        None if served else held, None if fits else fit)
             status[k] = 0
 
-        recurse(0, 0, 0.0, None, None)
+        recurse(0, 0, 0.0, w_root, None, None)
 
     def best_for_set(self, cols: list, best_key, best_chosen):
         """Tie-break-optimal matching covering exactly the given rider
@@ -1020,10 +1144,11 @@ class _RiderSearch:
         chosen: list[CandidateEdge] = []
         # The required columns of edge_weights.
         required = np.asarray(cols, dtype=int) + self.s_raw.shape[1]
-        weights = self.edge_weights()
+        weights = self.edge_weights
         # rest_bound by (k, free rows): different branches free the same
         # drivers, and the same LSA input gives the same bound.
         bounds = {}
+        edges = {}      # (row, edge id) of column cols[k], by k
 
         def rest_bound(k):
             sub_cols = required[k:]
@@ -1032,9 +1157,9 @@ class _RiderSearch:
             key = k, free_d.tobytes()
             if key not in bounds:
                 rows = np.flatnonzero(free_d)
-                bounds[key] = None if rows.size < sub_cols.size else \
-                    self._relax(weights[rows[:, None], sub_cols],
-                                sub_cols.size)[0]
+                node = None if rows.size < sub_cols.size else self._relax(
+                    weights[rows[:, None], sub_cols], sub_cols, sub_cols.size)
+                bounds[key] = None if node is None else node.value
             return bounds[key]
 
         def recurse(k, cur_v, cur_t):
@@ -1055,11 +1180,14 @@ class _RiderSearch:
                 if _better(key, best_key):
                     best_key, best_chosen = key, tuple(chosen)
                 return
-            j = cols[k]
-            for i in np.flatnonzero(self.has_edge[:, j]):
+            if k not in edges:
+                j = cols[k]
+                rows = np.flatnonzero(self.has_edge[:, j])
+                edges[k] = list(zip(rows.tolist(), self.eid[rows, j].tolist()))
+            for i, eid in edges[k]:
                 if not free_d[i]:
                     continue
-                e = self.table.edge(self.eid[i, j])
+                e = self.table.edge(eid)
                 free_d[i] = False
                 chosen.append(e)
                 recurse(k + 1, cur_v + e.sigma, cur_t + e.tau)
@@ -1099,13 +1227,13 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
     if incumbent:
         # The leaf test of visit, on the incumbent's rider set.
         s.status[:] = [1 if r in incumbent else 2 for r in s.riders]
-        sig, rows, cols = s.relaxation()
+        node = s.relaxation()
         cur_p = 0.0
         for z, st in zip(s.zeta, s.status):
             if st == 1:
                 cur_p += z
-        if sig is not None and sig >= -_TOL and cur_p > best_p:
-            best_p, best_cells = cur_p, (rows, cols)
+        if node is not None and node.value >= -_TOL and cur_p > best_p:
+            best_p, best_cells = cur_p, (node.rows, node.cols)
         s.status[:] = [0] * len(s.status)
     stop = target - _PRUNE_TOL
 
@@ -1113,71 +1241,75 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
         return (best_p < stop
                 and s.zeta_bound(k, n_in, cur_p) > best_p + _PRUNE_TOL)
 
-    def visit(k, cur_p, held, fresh, fit):
+    def visit(k, cur_p, cur_w, held, fresh, fit):
         nonlocal best_p, best_cells
         if held is not None:
-            # The canonical sum sorts the pairs, so first ask whether any
-            # order of the sum could beat best_p.
+            lag = s.lag
+            if held.value + lag.slack < best_p + gain:
+                return False
+            # Only where the value does not prune can the held matching's
+            # zeta total beat best_p. The canonical sum sorts the pairs, so
+            # first ask whether any order of the sum could.
             if (fresh and removal and held.sigma >= -_TOL
-                    and float(s.lag.zeta[held.cols].sum())
+                    and float(lag.zeta[held.cols].sum())
                     > best_p - _TOL * (1.0 + best_p)):
-                p_held = _row_sum(s.lag.zeta[held.cols])
+                p_held = _row_sum(lag.zeta[held.cols])
                 if p_held > best_p:
                     best_p, best_cells = p_held, (held.rows, held.cols)
-                    if best_p >= stop:
+                    if (best_p >= stop
+                            or held.value + lag.slack < best_p + gain):
                         return False
-            if held.value + s.lag.slack < best_p + gain:
-                return False
         leaf = k == len(s.riders)
         if leaf:
-            sig, rows, cols = s.relaxation()
-            if sig is None or sig < -_TOL:
+            node = s.relaxation(cur_w)
+            if node is None or node.value < -_TOL:
                 return False
             if cur_p > best_p:
                 # No rider is undecided, so the matching serves exactly the
                 # 'in' ones.
-                best_p, best_cells = cur_p, (rows, cols)
+                best_p, best_cells = cur_p, (node.rows, node.cols)
             return None
         # A matching with welfare >= _FLOOR_SLACK that still fits the node,
         # a held one or an inherited `fit`, passes this test for sure.
         if fit is None and (held is None or held.sigma < _FLOOR_SLACK):
-            sig, _, cols = s.relaxation()
-            if sig is None or sig < -_TOL:
+            node = s.relaxation(cur_w)
+            if node is None or node.value < -_TOL:
                 return False
-            if sig >= _FLOOR_SLACK:
-                fit = frozenset(cols.tolist())
+            if node.value >= _FLOOR_SLACK:
+                fit = frozenset(node.cols.tolist())
         return fit
 
     s.run(open_node, visit, root=removal and s.integral)
     return _row_sum(s.zc[best_cells[1]]), best_cells
 
 
-def _pass2_riders(inst: _Instance, p_star: float, seed):
+def _pass2_riders(s: _RiderSearch, p_star: float, seed):
     """Pass 2 of the sensing program: the tie-break-optimal matching among
     those with sensing total p_star that meet the floor.
 
-    Pass 1's `seed` is the only incumbent. The search walks the rider sets
-    that can still attain p_star, prunes those whose welfare relaxation
-    fails the floor or falls below the best key's welfare, and tie-breaks
-    each leaf's set with best_for_set. Its Lagrangian test: a leaf it
-    tie-breaks holds zeta of at least p_star and, if it can still win,
-    welfare of at least the best key's, so a subtree whose bound falls below
-    p_star + lam * that welfare (less the slack) holds none. The leaves
-    visited, and their order, are those of the search without the bound.
+    s is pass 1's search, so the welfare totals pass 1 solved are read
+    from it, not solved again. Pass 1's `seed` is the only incumbent. The
+    search walks the rider sets that can still attain p_star, prunes those
+    whose welfare relaxation fails the floor or falls below the best key's
+    welfare, and tie-breaks each leaf's set with best_for_set. Its
+    Lagrangian test: a leaf it tie-breaks holds zeta of at least p_star
+    and, if it can still win, welfare of at least the best key's, so a
+    subtree whose bound falls below p_star + lam * that welfare (less the
+    slack) holds none. The leaves visited, and their order, are those of
+    the search without the bound.
     """
     if p_star <= _PRUNE_TOL and not seed:
         # zeta is never negative, so every optimal matching serves only
         # riders with zeta 0; the maximum-welfare one of those meets the floor.
-        table = inst.table
+        table = s.table
         return _welfare_tie_break(_Instance(
             table, (table.zeta == 0.0) & (table.sigma >= 0.0)))
-    s = _RiderSearch(inst)
     best_key, best_chosen = _solution_key(seed, "zeta"), seed
 
     def open_node(k, n_in, cur_p):
         return s.zeta_bound(k, n_in, cur_p) >= p_star - _PRUNE_TOL
 
-    def visit(k, cur_p, held, fresh, fit):
+    def visit(k, cur_p, cur_w, held, fresh, fit):
         nonlocal best_key, best_chosen
         if held is not None and (held.value + s.lag.slack
                                  < p_star - _TOL + s.lag.lam * best_key[1]):
@@ -1185,7 +1317,7 @@ def _pass2_riders(inst: _Instance, p_star: float, seed):
         # As in pass 1, a held matching with enough welfare passes both
         # welfare tests for sure.
         if held is None or held.sigma < max(best_key[1], 0.0) + _FLOOR_SLACK:
-            sig = s.relaxed_sigma()
+            sig = s.welfare_total(cur_w)
             if sig is None or sig < -_TOL or sig < best_key[1] - _PRUNE_TOL:
                 return False
         if k == len(s.riders):

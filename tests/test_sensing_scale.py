@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import (Bounds, LinearConstraint, linear_sum_assignment,
+                            milp)
 from scipy.sparse import coo_matrix
 
 from senseauction import assignment as asg
@@ -319,12 +320,77 @@ def test_floor_bound_only_prunes(sim_markets, monkeypatch):
     assert used[default][0] < used[math.inf][0], used
 
 
+def test_welfare_bound_only_prunes(sim_markets, monkeypatch):
+    """The walk's O(1) welfare bound (each forced column's best sigma plus
+    each undecided column's positive best) prunes a node without an LSA
+    only where the big-M relaxation at that status is None or below -1e-9,
+    so it fails the floor there too; wherever the relaxation runs, the
+    bound is at least its total. Checked at every welfare test of the
+    solve and every removal, on every ds market of a default run and the
+    seeded integer-zeta markets."""
+    relaxation = asg._RiderSearch.relaxation
+    pruned = solved = 0
+
+    def checked(self, cur_w=math.inf):
+        nonlocal pruned, solved
+        node = relaxation(self, cur_w)
+        if cur_w < -asg._TOL - asg._FLOOR_SLACK:
+            pruned += 1
+            relaxed = relaxation(self)
+            assert relaxed is None or relaxed.value < -1e-9, (
+                cur_w, relaxed.value)
+        elif node is not None and cur_w < math.inf:
+            solved += 1
+            assert node.value <= cur_w + 1e-6, (node.value, cur_w)
+        return node
+
+    monkeypatch.setattr(asg._RiderSearch, "relaxation", checked)
+    for problem in sim_markets + SEEDED:
+        settle_values(problem)
+    assert pruned > 100 and solved > 1000, (pruned, solved)
+
+
 def tiny_market(seed):
     """At most 6x6, per-rider integer zeta, mixed-sign welfare."""
     rng = np.random.default_rng(seed)
     n_d, n_r = (int(v) for v in rng.integers(2, 7, 2))
     return floor_binding_market(seed, n_d, n_r,
                                 cost=float(rng.uniform(0.0, 8.0)))
+
+
+def test_floor_bound_solves_like_the_lsa_of_its_matrix():
+    """A node with fewer columns than drivers solves the transpose of its
+    matrix (the LSA would transpose a tall matrix itself); its value and
+    cells equal those of the LSA on the matrix as it stands, bit for bit,
+    and it is infeasible exactly when that LSA is. Random statuses on the
+    seeded and floor-binding markets, most with more drivers than riders."""
+    rng = np.random.default_rng(3)
+    tall = infeasible = 0
+    for problem in SEEDED + FLOOR_BINDING:
+        inst = asg.settle_index(copy_of(problem))
+        bound = asg._FloorBound(inst.s_raw, inst.has_edge, inst.zc, 0.7)
+        (n_d, n_c), cols = inst.s_raw.shape, list(range(inst.s_raw.shape[1]))
+        for _ in range(30):
+            status = rng.integers(0, 3, n_c)
+            forced = [j for j in cols if status[j] == 1]
+            idx = forced + bound.opened([j for j in cols if status[j] == 0])
+            if not idx:
+                continue
+            # weights is stored transposed: gathered columns are its rows.
+            w = bound.weights[:, :max(n_d, len(idx))].take(idx, axis=0).T
+            got = bound(forced, idx[len(forced):])
+            tall += len(idx) < n_d
+            try:
+                ri, ci = linear_sum_assignment(w, maximize=True)
+            except ValueError:
+                assert got is None
+                infeasible += 1
+                continue
+            keep = (ri < n_d) & ((ci < len(forced)) | (w[ri, ci] > 0.0))
+            assert got.value == float(w[ri, ci].sum())
+            assert np.array_equal(got.rows, ri[keep])
+            assert np.array_equal(got.cols, np.asarray(idx)[ci[keep]] % n_c)
+    assert tall > 300 and infeasible > 10, (tall, infeasible)
 
 
 def test_floor_bound_is_valid_and_tight_against_brute_force():
@@ -348,8 +414,8 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
                 status = {r: int(rng.integers(0, 3)) for r in inst.r_index}
                 forced = [r for r in status if status[r] == 1]
                 got = bound([inst.r_index[r] for r in forced],
-                            [inst.r_index[r] for r in status
-                             if status[r] == 0])
+                            bound.opened([inst.r_index[r] for r in status
+                                          if status[r] == 0]))
 
                 def best(value, floor, status=status):
                     # Forced riders carry a bonus no other choice outweighs.
@@ -367,12 +433,13 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
                 # The status as drawn, then with every undecided rider out.
                 for view in (status, {r: v or 2 for r, v in status.items()}):
                     search.status = [view[r] for r in search.riders]
-                    sig, rows, cols = search.relaxation()
+                    node = search.relaxation()
                     welfare = best(lambda e: e.sigma, False, view)
                     if welfare is None:
-                        assert sig is None
+                        assert node is None
                         relaxed_infeasible += 1
                         continue
+                    sig, rows, cols = node.value, node.rows, node.cols
                     assert sig == pytest.approx(welfare, abs=1e-9)
                     pairs = search.table.at(search.eid[rows, cols])
                     served = [e.rider for e in pairs]
@@ -493,11 +560,12 @@ def test_row_cut_keeps_every_bound_and_removal_value(sim_markets,
             for _ in range(6):
                 status = rng.integers(0, 3, len(whole.riders)).tolist()
                 whole.status[:] = part.status[:] = status
-                sig = [s.relaxed_sigma() for s in (whole, part)]
+                sig = [None if n is None else n.value
+                       for n in (s.relaxation() for s in (whole, part))]
                 forced = [j for j, st in zip(whole.r_idx, status) if st == 1]
                 undecided = [j for j, st in zip(whole.r_idx, status)
                              if st == 0]
-                lag = [b(forced, undecided) for b in bounds]
+                lag = [b(forced, b.opened(undecided)) for b in bounds]
                 assert (sig[0] is None) == (sig[1] is None)
                 assert (lag[0] is None) == (lag[1] is None)
                 if sig[0] is None or lag[0] is None:

@@ -168,14 +168,13 @@ def test_welfare_face_is_cut_by_an_optimal_dual(markets):
             assert u.sum() + v.sum() == pytest.approx(
                 asg._canonical_sum(pick, "sigma"), abs=1e-9, rel=0)
         assert (u_max - u_min).min(initial=0.0) >= -1e-9
-        assert set(pick) <= set(asg._welfare_face(m, u_max, v_min))
+        assert set(pick) <= set(asg._welfare_face(m))
 
 
-def best_open_matching(face, ends, free_d, free_r, idx):
+def best_open_matching(face, ends, live):
     """Brute force: the best total sigma, summed exactly, of a matching of
-    the face edges from index idx on whose ends are both free."""
-    open_edges = [(i, j, e.sigma) for (i, j), e in zip(ends[idx:], face[idx:])
-                  if free_d[i] and free_r[j]]
+    the live face edges (positions in the face)."""
+    open_edges = [(*ends[k], face[k].sigma) for k in live]
     best = 0.0
 
     def recurse(k, used_d, used_r, taken):
@@ -194,19 +193,19 @@ def best_open_matching(face, ends, free_d, free_r, idx):
 
 def test_face_bound_covers_every_completion():
     """At any node of the tie-break search, the dual bound is at least the
-    best matching of the undecided face edges between free vertices.
+    best matching of the live face edges: undecided, with both ends free.
 
     States come from walking each small co-located face in search order,
     taking an edge with both ends free at random and skipping the rest, and
-    stopping at a random index. The bound counts only vertices that an
-    undecided edge can join, and its slack covers the rounding of the
-    duals, so each state is checked exactly, with no tolerance."""
+    stopping at a random index. The bound counts only vertices that a live
+    edge can join, and its slack covers the rounding of the duals, so each
+    state is checked exactly, with no tolerance."""
     rng = np.random.default_rng(0)
     states = 0
     for problem in SMALL:
         m = asg._welfare_index(problem)
         _, u, v, _ = m.core
-        face = asg._welfare_face(m, u, v)
+        face = asg._welfare_face(m)
         bound = asg._FaceBound(m, face, u, v)
         for _ in range(40):
             free_d, free_r = ([True] * n for n in m.s_raw.shape)
@@ -214,8 +213,9 @@ def test_face_bound_covers_every_completion():
             for i, j in bound.ends[:idx]:
                 if free_d[i] and free_r[j] and rng.random() < 0.5:
                     free_d[i] = free_r[j] = False
-            assert bound(free_d, free_r, idx) >= best_open_matching(
-                face, bound.ends, free_d, free_r, idx)
+            live = [k for k in range(idx, len(face))
+                    if free_d[bound.ends[k][0]] and free_r[bound.ends[k][1]]]
+            assert bound(live) >= best_open_matching(face, bound.ends, live)
             states += 1
     assert states > 0
 
