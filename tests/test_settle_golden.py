@@ -4,15 +4,17 @@ tests/data/settle_golden.json holds, for each input market settled under
 each objective, the chosen pairs in order, the objective and welfare totals
 and every removal value (a DS removal's sensing optimum or a VCG marginal),
 the floats as float.hex. The inputs are the seeded integer-zeta markets,
-the random welfare markets and every epoch market of one default cell per
-mechanism (scenario 3, fleet 20, seed 0). The benchmark's digests round to
-9 decimals; this file sees every bit.
+the random welfare markets, every epoch market of one default cell per
+mechanism (scenario 3, fleet 20, seed 0) and the benchmark's saved
+150-driver stress markets, in manifest order. The benchmark's digests round
+to 9 decimals; this file sees every bit.
 
 Rewrite it from the current code with `python tests/test_settle_golden.py`,
 only when an output is meant to change.
 """
 
 import copy
+import gzip
 import json
 from pathlib import Path
 
@@ -20,13 +22,14 @@ import pytest
 
 from senseauction import assignment as asg
 from senseauction import pricing
-from senseauction.assignment import MatchingProblem
+from senseauction.assignment import MatchingProblem, problem_from_json
 from senseauction.simengine import ScenarioConfig, run_scenario
 
 from test_sensing_scale import SEEDED
 from test_welfare_scale import SMALL, random_market
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "settle_golden.json"
+SAVED = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def sim_cell_markets():
@@ -50,6 +53,17 @@ def sim_cell_markets():
     return seen
 
 
+def saved_large_markets():
+    """The benchmark's saved stress markets (read only): the one input set
+    where the row cut and the integral removal path run at 150 drivers."""
+    manifest = json.loads((SAVED / "markets_large.json").read_text())
+    problems = []
+    for entry in manifest["markets"]:
+        with gzip.open(SAVED / "markets" / entry["file"], "rt") as fh:
+            problems.append(problem_from_json(json.load(fh)))
+    return problems
+
+
 def golden_markets():
     return {
         "seeded": SEEDED,
@@ -58,6 +72,7 @@ def golden_markets():
             for n_d, n_r in ((10, 10), (20, 12), (30, 16))
             for colocated in (False, True) for seed in range(2)],
         "sim_cell": sim_cell_markets(),
+        "markets_large": saved_large_markets(),
     }
 
 
