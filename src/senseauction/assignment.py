@@ -33,27 +33,32 @@ Which path runs:
 - VCG removal marginals (welfare_marginals): read from the pick's two core
   points (_Instance.core) with no solve, so a VCG settle runs one LSA.
 - Sensing: zeta is the gain of the requested trip, one value per rider. The
-  sensing index maps each rider to it once, on first use, and raises
+  sensing index maps each column to it once (zc), on first use, and raises
   ContractError when one rider's edges carry two values. The sensing total
   depends only on which riders are served, so pass 1
   (_optimal_primary_riders), every DS removal and pass 2 (_pass2_riders,
   with pass 1's matching as its only incumbent) each walk rider subsets on
   one _RiderSearch: one rider order, one zeta bound and one big-M welfare
-  relaxation (_RiderSearch.relaxation), also behind pass 2's tie-break of each rider
-  set (best_for_set). Pass 2 walks pass 1's search and reads the welfare
-  totals pass 1 solved instead of solving them again. chosen is the
-  winner's order: driver id for pass 1's matching, rider id for a
-  best_for_set result.
+  relaxation (_RiderSearch.relaxation), also behind pass 2's tie-break of
+  each rider set (best_for_set). The order is _Instance.order, the columns
+  by descending zeta and then column, which is id order; a search names
+  riders by column only. Pass 2 walks pass 1's search again and solves its
+  own welfare relaxations. Both tie-breaks, the welfare face's and pass
+  2's, keep their best matching in one _Incumbent, which applies the order
+  (welfare, then tau, then pair list, within _PRUNE_TOL). chosen is the
+  winner's order: driver id for pass 1's matching, column order (rider id)
+  for a best_for_set result.
 - DS removal marginals (sensing_marginals): each removal is a pass-1 search
   over a slice of the settle's _Instance (_removals), so it sees exactly
   the arrays a rebuilt reduced index would hold. It starts from an
-  incumbent, the optimal rider set R* for a driver removal and R* less the
-  rider for a rider removal, kept only if it meets the welfare floor, and
-  ends once it reaches the full optimum U* (within 1e-12). That is exact:
-  removing a participant only deletes feasible matchings, so no removal's
-  optimum exceeds U*. Most driver removals cost one LSA: one whose
-  incumbent meets the floor and reaches U* ends at that test and builds
-  none of the walk's state, which is made on first read.
+  incumbent, the index columns of the optimal rider set R* for a driver
+  removal and of R* less the rider for a rider removal, kept only if it
+  meets the welfare floor, and ends once it reaches the full optimum U*
+  (within 1e-12). That is exact: removing a participant only deletes
+  feasible matchings, so no removal's optimum exceeds U*. Most driver
+  removals cost one LSA: one whose incumbent meets the floor and reaches
+  U* ends at that test and builds none of the walk's state, which is made
+  on first read.
 - Row cut (_Instance.search_rows), once per settle when there are more
   than n_c + 1 drivers for n_c riders: removal searches keep only the
   rows among some rider's n_c + 1 best drivers by sigma (ties to the lower
@@ -482,7 +487,8 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
     module docstring).
     """
     index = _Instance(problem.table) if inst is None else inst
-    optimal_set = frozenset(solution.matched_riders)
+    at = index.r_index
+    optimal_set = frozenset(at[r] for r in solution.matched_riders)
     out = {}
     for p, rows, cols in _removals(index, problem, participants):
         if not (rows.size and cols.size):
@@ -490,7 +496,8 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
             continue
         out[p], _ = _optimal_primary_riders(
             _RiderSearch(index, rows, cols, index.search_rows),
-            incumbent=optimal_set - {p}, target=solution.objective_value)
+            incumbent=optimal_set - {at.get(p)},
+            target=solution.objective_value)
     return out
 
 
@@ -549,25 +556,18 @@ def _welfare_tie_break(m: _Instance) -> tuple[CandidateEdge, ...]:
         # edge, so it falls more than _TOL below p*.
         return pick
     p_star = _canonical_sum(pick, "sigma")
-    best_key, best_chosen = _solution_key(pick, "sigma"), pick
+    best = _Incumbent(pick, "sigma")
     bound = _FaceBound(m, face, u, v)
     ends = bound.ends
     stack: list[CandidateEdge] = []
 
     def recurse(live, cur_v, cur_t):
         # live: the undecided face edges whose ends are both free, in order.
-        nonlocal best_key, best_chosen
         if not live:
-            if cur_v < p_star - _TOL:
-                return
-            key = _solution_key(stack, "sigma")
-            if _better(key, best_key):
-                best_key, best_chosen = key, tuple(stack)
+            if cur_v >= p_star - _TOL:
+                best.offer(stack)
             return
-        ub_v = cur_v + bound(live)
-        if ub_v < best_key[1] - _PRUNE_TOL:
-            return
-        if ub_v <= best_key[1] + _PRUNE_TOL and cur_t > best_key[2] + _PRUNE_TOL:
+        if not best.beats(cur_v + bound(live), cur_t):
             return
         e, rest = face[live[0]], live[1:]
         i, j = ends[live[0]]
@@ -578,7 +578,7 @@ def _welfare_tie_break(m: _Instance) -> tuple[CandidateEdge, ...]:
         recurse(rest, cur_v, cur_t)
 
     recurse(list(range(len(face))), 0.0, 0.0)
-    return best_chosen
+    return best.chosen
 
 
 def _welfare_face(m: _Instance):
@@ -669,6 +669,31 @@ def _better(a, b) -> bool:
     return a[3] < b[3]
 
 
+class _Incumbent:
+    """A tie-break search's best matching so far and its solution key, the
+    one place that applies the order of _better to a search."""
+
+    def __init__(self, chosen, primary: str):
+        self.primary = primary
+        self.key, self.chosen = _solution_key(chosen, primary), tuple(chosen)
+
+    def beats(self, ub_v, cur_t=-math.inf) -> bool:
+        """Whether a completion with welfare at most ub_v and total tau at
+        least cur_t (unknown by default) can still beat the incumbent:
+        higher welfare, or equal welfare and no more tau, within
+        _PRUNE_TOL."""
+        welfare, tau = self.key[1], self.key[2]
+        if ub_v < welfare - _PRUNE_TOL:
+            return False
+        return ub_v > welfare + _PRUNE_TOL or cur_t <= tau + _PRUNE_TOL
+
+    def offer(self, chosen) -> None:
+        """Take chosen, in its order, when _better ranks it above."""
+        key = _solution_key(chosen, self.primary)
+        if _better(key, self.key):
+            self.key, self.chosen = key, tuple(chosen)
+
+
 class _Instance:
     """One settle's index, shared by its solve and all removals.
 
@@ -678,11 +703,12 @@ class _Instance:
     scatter each: s_raw holds each edge's sigma (0 off the edges), has_edge
     the edges and eid their ids in the table (-1 off the edges), which
     CandidateEdge objects come from (table.at). The sensing program's zc
-    (each column's zeta), zr and z_raw are built on first use: a rider with
-    two zeta values raises ContractError there, and the welfare program
-    never reads them; its core (the pick and both core points) is built on
-    first use too. So are what the sensing searches share: the rider order,
-    zeta_integral and the removal searches' search_rows.
+    (each column's zeta) and z_raw are built on first use: a rider with two
+    zeta values raises ContractError there, and the welfare program never
+    reads them; its core (the pick and both core points) is built on first
+    use too. So are what the sensing searches share: the column order,
+    zeta_integral and the removal searches' search_rows. The searches name
+    riders only by column.
     """
 
     def __init__(self, table: _EdgeTable, keep=None):
@@ -724,30 +750,21 @@ class _Instance:
         zc = np.zeros(len(self.r_index))
         zc[col] = zeta
         if np.count_nonzero(two := zc[col] != zeta):
-            rider = self.rider_ids[col[two.argmax()]]
+            rider = list(self.r_index)[col[two.argmax()]]
             raise ContractError(f"rider {rider!r} has two zeta values")
         return zc
 
     @_lazy
-    def zr(self) -> dict[str, float]:
-        return dict(zip(self.r_index, self.zc.tolist()))
-
-    @_lazy
-    def rider_ids(self) -> list[str]:
-        """Each column's rider id."""
-        return list(self.r_index)
-
-    @_lazy
-    def rider_order(self) -> list[str]:
-        """The riders in the searches' (-zeta, id) order."""
-        zr = self.zr
-        return sorted(self.r_index, key=lambda r: (-zr[r], r))
+    def order(self) -> np.ndarray:
+        """The columns in the searches' (-zeta, id) order: columns are in id
+        order, so a stable sort on -zeta alone gives it."""
+        return np.argsort(-self.zc, kind="stable")
 
     @_lazy
     def zeta_integral(self) -> bool:
         """Every rider's zeta is a whole number, and so is every sum of them
         in float: a feasible sensing total is then an integer."""
-        zeta = self.zr.values()
+        zeta = self.zc.tolist()
         return (all(z.is_integer() for z in zeta)
                 and sum(map(abs, zeta)) < 2.0 ** 52)
 
@@ -768,9 +785,9 @@ class _Instance:
         return None if keep.all() else keep
 
     @_lazy
-    def col_best(self) -> list[float]:
+    def col_best(self) -> np.ndarray:
         """Each column's best sigma: a slice's is at most this."""
-        return np.where(self.has_edge, self.s_raw, -np.inf).max(axis=0).tolist()
+        return np.where(self.has_edge, self.s_raw, -np.inf).max(axis=0)
 
     @_lazy
     def z_raw(self) -> np.ndarray:
@@ -836,12 +853,13 @@ class _NodeSolve:
     so that idx % n_c names it), the first n_f of them forced; no LSA when
     idx is empty. value, its total, is read at every node; the matching's
     cells (rows, cols) in row order, the columns it serves beyond the forced
-    ones and its welfare are made on first read."""
+    ones, its welfare and, given each column's zeta, its sensing total are
+    made on first read."""
 
     def __init__(self, value, s_raw, picked=None, ri=None, ci=None, idx=(),
-                 n_f=0):
+                 n_f=0, zeta=None):
         self.value, self._s_raw, self._n_f = value, s_raw, n_f
-        self._lsa = picked, ri, ci, idx
+        self._lsa, self._zeta = (picked, ri, ci, idx), zeta
 
     @_lazy
     def cells(self):
@@ -869,6 +887,10 @@ class _NodeSolve:
     @_lazy
     def sigma(self) -> float:
         return float(self._s_raw[self.rows, self.cols].sum())
+
+    @_lazy
+    def zeta(self) -> float:
+        return _row_sum(self._zeta[self.cols])
 
 
 class _FloorBound:
@@ -921,7 +943,7 @@ class _FloorBound:
         (opened()) undecided; every other column is excluded."""
         idx = forced_cols + open_idx
         if not idx:
-            return _NodeSolve(0.0, self.s_raw)
+            return _NodeSolve(0.0, self.s_raw, zeta=self.zeta)
         n_d = self.s_raw.shape[0]
         wt = self.weights[:, :max(n_d, len(idx))].take(idx, axis=0)
         try:
@@ -938,7 +960,7 @@ class _FloorBound:
             return None
         picked = wt[ci, ri]
         return _NodeSolve(float(picked.sum()), self.s_raw, picked, ri, ci, idx,
-                          len(forced_cols))
+                          len(forced_cols), self.zeta)
 
 
 class _RiderSearch:
@@ -946,42 +968,38 @@ class _RiderSearch:
     arrays or over their slice at a removal's rows and cols.
 
     The sensing total depends only on which riders are matched, so the
-    search decides riders one by one in (-zeta, id) order (r_idx holds their
-    columns), 'in' before 'out'. zeta_bound is the prefix-sum bound on what
-    the undecided riders can add. relaxation is the big-M welfare
-    relaxation at the current status (0 undecided, 1 in, 2 out), and
-    best_for_set tie-breaks one fixed rider set. A slice may also drop the
-    rows outside `cut` (_Instance.search_rows); n_d and big still count
-    them, so every bound and total is that of the uncut slice. What only a
-    walk reads is made on first read, so a removal that its incumbent
-    decides builds none of it.
+    search decides riders one by one in the index's (-zeta, id) order,
+    'in' before 'out'. Riders are named only by column: `order` holds them
+    as the index's columns (_Instance.order, kept to a slice's columns) and
+    r_idx as columns of the search's arrays. zeta_bound is the prefix-sum
+    bound on what the undecided riders can add. relaxation is the big-M
+    welfare relaxation at the current status (0 undecided, 1 in, 2 out),
+    and best_for_set, on a search of the whole index, tie-breaks one fixed
+    rider set. A slice may also drop the rows outside `cut`
+    (_Instance.search_rows); n_d and big still count them, so every bound
+    and total is that of the uncut slice. What only a walk reads is made on
+    first read, so a removal that its incumbent decides builds none of it.
     """
 
     def __init__(self, inst: _Instance, rows=None, cols=None, cut=None):
-        grid, self.r_index = (slice(None), slice(None)), inst.r_index
-        order = inst.rider_order
+        grid, self.zc = (slice(None), slice(None)), inst.zc
+        order = r_idx = inst.order
         if rows is not None:
-            grid, riders = (rows[:, None], cols), inst.rider_ids
-            self.r_index = {riders[j]: c for c, j in enumerate(cols.tolist())}
-            order = [r for r in order if r in self.r_index]
+            # cols ascend, so the slice's columns keep id order, and the same
+            # stable sort on their zeta is the index's order kept to them.
+            grid, self.zc = (rows[:, None], cols), inst.zc[cols]
+            r_idx = np.argsort(-self.zc, kind="stable")
+            order = cols[r_idx]
         s_raw = inst.s_raw[grid]
         self.n_d = s_raw.shape[0]
         self.big = 1000.0 * (1.0 + float(np.abs(s_raw).sum()))
         if cut is not None and not (kept := cut[rows]).all():
             grid, s_raw = (rows[kept][:, None], cols), s_raw[kept]
-        self.s_raw, self.has_edge, self.eid = (
-            s_raw, inst.has_edge[grid], inst.eid[grid])
-        self._inst = inst
-        self.table = inst.table
-        zr = inst.zr
-        self.zc = inst.zc if rows is None else inst.zc[cols]
+        self.s_raw, self.has_edge = s_raw, inst.has_edge[grid]
+        self.inst, self.order, self.r_idx = inst, order, r_idx.tolist()
         self.integral = inst.zeta_integral
-        self.riders = order
-        self.zeta = [zr[r] for r in order]
-        self.r_idx = [self.r_index[r] for r in order]
-        self.status = [0] * len(self.riders)
-        # The solve's search keeps its welfare totals by status, for pass 2.
-        self.totals = {} if rows is None else None
+        self.zeta = inst.zc[order].tolist()
+        self.status = [0] * len(self.zeta)
         self.lag = None
 
     @_lazy
@@ -996,15 +1014,14 @@ class _RiderSearch:
         """The walk's O(1) bound on the welfare relaxation: each forced
         column's best sigma plus each undecided column's positive best.
         Its root value, and what an 'in' and an 'out' step at depth k add."""
-        best, at = self._inst.col_best, self._inst.r_index
-        best = [best[at[r]] for r in self.riders]
+        best = self.inst.col_best[self.order].tolist()
         return (sum(b for b in best if b > 0.0), [min(b, 0.0) for b in best],
                 [-max(b, 0.0) for b in best])
 
     @_lazy
     def floor_bound(self) -> _FloorBound:
         return _FloorBound(self.s_raw, self.has_edge, self.zc,
-                           self._inst.floor_multiplier())
+                           self.inst.floor_multiplier())
 
     @_lazy
     def edge_weights(self) -> np.ndarray:
@@ -1020,7 +1037,7 @@ class _RiderSearch:
 
     def zeta_bound(self, k, n_in, cur_p):
         # Riders come in descending zeta: the suffix's top is its prefix.
-        take = min(self.n_d - n_in, len(self.riders) - k)
+        take = min(self.n_d - n_in, len(self.zeta) - k)
         return cur_p + (self.suffix[k] - self.suffix[k + take])
 
     def _relax(self, w, idx, n_req) -> _NodeSolve | None:
@@ -1039,32 +1056,19 @@ class _RiderSearch:
     def relaxation(self, cur_w=math.inf) -> _NodeSolve | None:
         """Max welfare with 'in' riders forced, undecided ones optional and
         'out' ones removed, or None when no matching serves the 'in' riders;
-        it bounds the welfare of every completion. Its value is the total
-        (kept in totals), its cells the LSA's positive-weight cells. Also
-        None, with no LSA, when the walk's bound cur_w (welfare_steps) is
-        below -_TOL - _FLOOR_SLACK: the total would fail the floor too."""
+        it bounds the welfare of every completion. Its value is the total,
+        its cells the LSA's positive-weight cells. Also None, with no LSA,
+        when the walk's bound cur_w (welfare_steps) is below
+        -_TOL - _FLOOR_SLACK: the total would fail the floor too."""
         if cur_w < -_TOL - _FLOOR_SLACK:
             return None
         n_c = self.s_raw.shape[1]
         idx = [j + n_c * st for st, j in zip(self.status, self.r_idx)
                if st != 2]
         if not idx:
-            node = _NodeSolve(0.0, self.s_raw)
-        else:
-            node = self._relax(self.edge_weights.take(idx, axis=1), idx,
-                               self.status.count(1))
-        if self.totals is not None:
-            self.totals[tuple(self.status)] = (None if node is None
-                                               else node.value)
-        return node
-
-    def welfare_total(self, cur_w):
-        """relaxation(cur_w)'s value, or None; from totals if solved."""
-        key = tuple(self.status)
-        if key in self.totals:
-            return self.totals[key]
-        node = self.relaxation(cur_w)
-        return None if node is None else node.value
+            return _NodeSolve(0.0, self.s_raw)
+        return self._relax(self.edge_weights.take(idx, axis=1), idx,
+                           self.status.count(1))
 
     def run(self, open_node, visit, root=False):
         """Walk the rider subsets depth first.
@@ -1076,8 +1080,8 @@ class _RiderSearch:
         and each node a Lagrangian matching `held`: its parent's when that
         still fits (served riders stay in, unserved ones out), else one
         solve, and no matching prunes the node. visit(k, cur_p, cur_w,
-        held, fresh, fit) then runs the node's floor tests, where cur_w is
-        relaxation()'s welfare bound, and, at k == len(riders), its leaf.
+        held, fit) then runs the node's floor tests, where cur_w is
+        relaxation()'s welfare bound, and, at k == len(r_idx), its leaf.
         It returns False to prune, else the served columns of a matching
         that passes the welfare test with room to spare, or None: a child
         keeps that `fit` by the same rule as `held`. With `root` a node
@@ -1085,7 +1089,7 @@ class _RiderSearch:
         """
         if not open_node(0, 0, 0.0):
             return
-        n_d, n = self.n_d, len(self.riders)
+        n_d, n = self.n_d, len(self.r_idx)
         after = 0 if root and _LAGRANGE_AFTER < math.inf else _LAGRANGE_AFTER
         status, r_idx, zeta = self.status, self.r_idx, self.zeta
         w_root, w_in, w_out = self.welfare_steps
@@ -1101,14 +1105,13 @@ class _RiderSearch:
             nodes += 1
             if nodes > after and self.lag is None:
                 self.lag = self.floor_bound
-            fresh = self.lag is not None and held is None
-            if fresh:
+            if self.lag is not None and held is None:
                 if k not in opens:
                     opens[k] = self.lag.opened(r_idx[k:])
                 held = self.lag(forced, opens[k])
                 if held is None:
                     return
-            fit = visit(k, cur_p, cur_w, held, fresh, fit)
+            fit = visit(k, cur_p, cur_w, held, fit)
             if fit is False or k == n:
                 return
             served = held is not None and r_idx[k] in held.served
@@ -1132,9 +1135,9 @@ class _RiderSearch:
 
         recurse(0, 0, 0.0, w_root, None, None)
 
-    def best_for_set(self, cols: list, best_key, best_chosen):
-        """Tie-break-optimal matching covering exactly the given rider
-        columns, if _better ranks it above best_key.
+    def best_for_set(self, cols: list, best: _Incumbent) -> None:
+        """Offer `best` the tie-break-optimal matching covering exactly the
+        given rider columns of the whole index.
 
         With the matched rider set fixed, the required-assignment relaxation
         is a tight welfare bound, so the search only walks the genuine
@@ -1163,31 +1166,24 @@ class _RiderSearch:
             return bounds[key]
 
         def recurse(k, cur_v, cur_t):
-            nonlocal best_key, best_chosen
             rest = rest_bound(k)
             if rest is None:
                 return
             ub_v = cur_v + rest
-            if ub_v < -_TOL:
-                return
-            if ub_v < best_key[1] - _PRUNE_TOL:
-                return
-            if (ub_v <= best_key[1] + _PRUNE_TOL
-                    and cur_t > best_key[2] + _PRUNE_TOL):
+            if ub_v < -_TOL or not best.beats(ub_v, cur_t):
                 return
             if k == len(cols):
-                key = _solution_key(tuple(chosen), "zeta")
-                if _better(key, best_key):
-                    best_key, best_chosen = key, tuple(chosen)
+                best.offer(chosen)
                 return
             if k not in edges:
                 j = cols[k]
                 rows = np.flatnonzero(self.has_edge[:, j])
-                edges[k] = list(zip(rows.tolist(), self.eid[rows, j].tolist()))
+                edges[k] = list(zip(rows.tolist(),
+                                    self.inst.eid[rows, j].tolist()))
             for i, eid in edges[k]:
                 if not free_d[i]:
                     continue
-                e = self.table.edge(eid)
+                e = self.inst.table.edge(eid)
                 free_d[i] = False
                 chosen.append(e)
                 recurse(k + 1, cur_v + e.sigma, cur_t + e.tau)
@@ -1195,7 +1191,6 @@ class _RiderSearch:
                 free_d[i] = True
 
         recurse(0, 0.0, 0.0)
-        return best_key, best_chosen
 
 
 def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
@@ -1207,10 +1202,10 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
     order, and the total is their canonical zeta sum, so a removal search,
     which needs only the value, makes no CandidateEdge.
 
-    A removal search passes a rider set known to be good as `incumbent`
-    (tried first and kept only if it meets the floor) and the full market's
-    optimum as `target`; the search ends once its best value reaches
-    target - _PRUNE_TOL. Its Lagrangian tests prune only where the zeta
+    A removal search passes a rider set known to be good as `incumbent`, a
+    set of the index's columns (tried first and kept only if it meets the
+    floor), and the full market's optimum as `target`; the search ends once
+    its best value reaches target - _PRUNE_TOL. Its Lagrangian tests prune only where the zeta
     bound would let no leaf beat best_p either, so the full solve returns
     the same matching; a removal search, which needs only the value, also
     takes a node's Lagrangian matching as its incumbent when that matching
@@ -1226,7 +1221,7 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
     best_cells = np.empty(0, np.intp), np.empty(0, np.intp)
     if incumbent:
         # The leaf test of visit, on the incumbent's rider set.
-        s.status[:] = [1 if r in incumbent else 2 for r in s.riders]
+        s.status[:] = [1 if j in incumbent else 2 for j in s.order.tolist()]
         node = s.relaxation()
         cur_p = 0.0
         for z, st in zip(s.zeta, s.status):
@@ -1241,26 +1236,20 @@ def _optimal_primary_riders(search: _RiderSearch, incumbent=frozenset(),
         return (best_p < stop
                 and s.zeta_bound(k, n_in, cur_p) > best_p + _PRUNE_TOL)
 
-    def visit(k, cur_p, cur_w, held, fresh, fit):
+    def visit(k, cur_p, cur_w, held, fit):
         nonlocal best_p, best_cells
         if held is not None:
             lag = s.lag
             if held.value + lag.slack < best_p + gain:
                 return False
             # Only where the value does not prune can the held matching's
-            # zeta total beat best_p. The canonical sum sorts the pairs, so
-            # first ask whether any order of the sum could.
-            if (fresh and removal and held.sigma >= -_TOL
-                    and float(lag.zeta[held.cols].sum())
-                    > best_p - _TOL * (1.0 + best_p)):
-                p_held = _row_sum(lag.zeta[held.cols])
-                if p_held > best_p:
-                    best_p, best_cells = p_held, (held.rows, held.cols)
-                    if (best_p >= stop
-                            or held.value + lag.slack < best_p + gain):
-                        return False
-        leaf = k == len(s.riders)
-        if leaf:
+            # zeta total beat best_p. An inherited one was offered at its
+            # parent, and its total is kept on it.
+            if removal and held.sigma >= -_TOL and held.zeta > best_p:
+                best_p, best_cells = held.zeta, (held.rows, held.cols)
+                if best_p >= stop or held.value + lag.slack < best_p + gain:
+                    return False
+        if k == len(s.r_idx):
             node = s.relaxation(cur_w)
             if node is None or node.value < -_TOL:
                 return False
@@ -1287,13 +1276,13 @@ def _pass2_riders(s: _RiderSearch, p_star: float, seed):
     """Pass 2 of the sensing program: the tie-break-optimal matching among
     those with sensing total p_star that meet the floor.
 
-    s is pass 1's search, so the welfare totals pass 1 solved are read
-    from it, not solved again. Pass 1's `seed` is the only incumbent. The
-    search walks the rider sets that can still attain p_star, prunes those
-    whose welfare relaxation fails the floor or falls below the best key's
+    s is a search of the whole index, walked again here with its own
+    welfare relaxations. Pass 1's `seed` is the only incumbent. The search
+    walks the rider sets that can still attain p_star, prunes those whose
+    welfare relaxation fails the floor or cannot beat the incumbent's
     welfare, and tie-breaks each leaf's set with best_for_set. Its
     Lagrangian test: a leaf it tie-breaks holds zeta of at least p_star
-    and, if it can still win, welfare of at least the best key's, so a
+    and, if it can still win, welfare of at least the incumbent's, so a
     subtree whose bound falls below p_star + lam * that welfare (less the
     slack) holds none. The leaves visited, and their order, are those of
     the search without the bound.
@@ -1301,33 +1290,33 @@ def _pass2_riders(s: _RiderSearch, p_star: float, seed):
     if p_star <= _PRUNE_TOL and not seed:
         # zeta is never negative, so every optimal matching serves only
         # riders with zeta 0; the maximum-welfare one of those meets the floor.
-        table = s.table
+        table = s.inst.table
         return _welfare_tie_break(_Instance(
             table, (table.zeta == 0.0) & (table.sigma >= 0.0)))
-    best_key, best_chosen = _solution_key(seed, "zeta"), seed
+    best = _Incumbent(seed, "zeta")
 
     def open_node(k, n_in, cur_p):
         return s.zeta_bound(k, n_in, cur_p) >= p_star - _PRUNE_TOL
 
-    def visit(k, cur_p, cur_w, held, fresh, fit):
-        nonlocal best_key, best_chosen
+    def visit(k, cur_p, cur_w, held, fit):
+        welfare = best.key[1]
         if held is not None and (held.value + s.lag.slack
-                                 < p_star - _TOL + s.lag.lam * best_key[1]):
+                                 < p_star - _TOL + s.lag.lam * welfare):
             return False
         # As in pass 1, a held matching with enough welfare passes both
         # welfare tests for sure.
-        if held is None or held.sigma < max(best_key[1], 0.0) + _FLOOR_SLACK:
-            sig = s.welfare_total(cur_w)
-            if sig is None or sig < -_TOL or sig < best_key[1] - _PRUNE_TOL:
+        if held is None or held.sigma < max(welfare, 0.0) + _FLOOR_SLACK:
+            node = s.relaxation(cur_w)
+            if (node is None or node.value < -_TOL
+                    or not best.beats(node.value)):
                 return False
-        if k == len(s.riders):
-            cols = [j for j, st in zip(s.r_idx, s.status) if st == 1]
-            best_key, best_chosen = s.best_for_set(sorted(cols), best_key,
-                                                   best_chosen)
+        if k == len(s.r_idx):
+            s.best_for_set(sorted(j for j, st in zip(s.r_idx, s.status)
+                                  if st == 1), best)
         return None
 
     s.run(open_node, visit)
-    return best_chosen
+    return best.chosen
 
 
 def problem_to_json(problem: MatchingProblem) -> str:

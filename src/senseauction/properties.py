@@ -383,40 +383,29 @@ def check_envy_free(inst: RandomInstance) -> bool:
 
 
 def _with_clone(inst: RandomInstance, side: str):
-    if side == "rider":
-        riders = sorted(inst.delta_true)
-        if not riders:
-            return None
-        r0 = riders[0]
-        rc = r0 + "_twin"
-        tau = dict(inst.tau)
-        for (d, r), t in inst.tau.items():
-            if r == r0:
-                tau[(d, rc)] = t
-        if not any(r == r0 for (_, r) in inst.tau):
-            return None
-        inst2 = RandomInstance(
-            rates=inst.rates, b_true=dict(inst.b_true),
-            delta_true={**inst.delta_true, rc: inst.delta_true[r0]},
-            h={**inst.h, rc: inst.h[r0]}, f={**inst.f, rc: inst.f[r0]},
-            tau=tau, zeta={**inst.zeta, rc: inst.zeta[r0]})
-        return inst2, r0, rc
-    drivers = sorted(inst.b_true)
-    if not drivers:
+    """inst with a twin of its first rider (side "rider") or driver by id:
+    the same rates and pairs under the id + "_twin". None when there is no
+    such participant or it has no pair."""
+    rider = side == "rider"
+    ids = sorted(inst.delta_true if rider else inst.b_true)
+    if not ids:
         return None
-    d0 = drivers[0]
-    dc = d0 + "_twin"
-    tau = dict(inst.tau)
-    for (d, r), t in inst.tau.items():
-        if d == d0:
-            tau[(dc, r)] = t
-    if not any(d == d0 for (d, _) in inst.tau):
+    orig, twin = ids[0], ids[0] + "_twin"
+    twin_tau = {((d, twin) if rider else (twin, r)): t
+                for (d, r), t in inst.tau.items()
+                if (r if rider else d) == orig}
+    if not twin_tau:
         return None
+
+    def twinned(values: dict, on_side: bool) -> dict:
+        return {**values, twin: values[orig]} if on_side else dict(values)
+
     inst2 = RandomInstance(
-        rates=inst.rates, b_true={**inst.b_true, dc: inst.b_true[d0]},
-        delta_true=dict(inst.delta_true), h=dict(inst.h), f=dict(inst.f),
-        tau=tau, zeta=dict(inst.zeta))
-    return inst2, d0, dc
+        rates=inst.rates, b_true=twinned(inst.b_true, not rider),
+        delta_true=twinned(inst.delta_true, rider),
+        h=twinned(inst.h, rider), f=twinned(inst.f, rider),
+        tau={**inst.tau, **twin_tau}, zeta=twinned(inst.zeta, rider))
+    return inst2, orig, twin
 
 
 ALL_CHECKS = ("exactness", "settlement", "group_ic", "reporting", "envy_free")

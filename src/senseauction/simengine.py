@@ -82,6 +82,14 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"{name} must be finite and "
                     f"{'positive' if positive else 'non-negative'}")
+        # numpy's Poisson draw of an epoch's requests refuses a mean above
+        # 2**63 - 1 less 10 sqrt of it (ValueError "lam value too large").
+        top = 2 ** 63 - 1
+        if (self.requests_per_hour / self.epochs_per_interval
+                > top - 10 * math.sqrt(top)):
+            raise ConfigurationError(
+                "requests_per_hour / epochs_per_interval must be at most "
+                "about 9.22e18, the largest Poisson mean numpy draws")
         if not isinstance(self.floor_enabled, bool):
             raise ConfigurationError("floor_enabled must be true or false")
         if self.bid_low > self.bid_high:

@@ -235,6 +235,42 @@ def test_sensing_max_matches_brute_force():
         assert sorted(e.pair for e in sol.chosen) == sorted(pairs)
 
 
+# The seeded markets (seed, n_d, n_r) whose DS solve _better ranks below
+# brute force's matching: the big-M roundings of pass 2's welfare tests prune
+# the tied subtree that holds the tie-break winner (ROADMAP item 1). The
+# ledger pins pass 2 as it is; an exact pass 2 makes it empty.
+TIE_BREAK_DEFECTS = [
+    (23, 6, 6), (36, 6, 6), (67, 6, 6), (104, 6, 6), (118, 6, 6),
+    (146, 6, 6), (162, 6, 6), (181, 6, 6), (211, 6, 6), (262, 6, 6),
+    (264, 6, 6), (271, 6, 6), (278, 6, 6), (357, 6, 6), (407, 6, 6),
+    (408, 6, 6), (427, 6, 6), (484, 6, 6),
+    (17, 8, 5), (75, 8, 5), (201, 8, 5), (205, 8, 5), (248, 8, 5),
+    (315, 8, 5), (326, 8, 5), (417, 8, 5), (487, 8, 5),
+    (22, 7, 7), (41, 7, 7), (70, 7, 7), (151, 7, 7), (158, 7, 7),
+    (319, 7, 7), (385, 7, 7), (407, 7, 7), (448, 7, 7), (467, 7, 7),
+    (491, 7, 7),
+    (72, 8, 8), (75, 8, 8), (126, 8, 8), (205, 8, 8), (260, 8, 8),
+    (267, 8, 8), (274, 8, 8), (309, 8, 8), (325, 8, 8), (356, 8, 8),
+    (363, 8, 8), (423, 8, 8), (432, 8, 8), (464, 8, 8), (491, 8, 8),
+]
+
+
+def test_sensing_tie_break_defects_are_the_known_ledger():
+    """Over seeds 0-494 at 6x6, 8x5, 7x7 and 8x8, the markets where
+    brute force's matching wins under _better are exactly the ledger."""
+    found = []
+    for n_d, n_r in ((6, 6), (8, 5), (7, 7), (8, 8)):
+        for seed in range(495):
+            p = integer_zeta_market(seed, n_d, n_r)
+            chosen = solve_sensing_max(p).chosen
+            _, _, pairs = oracle.brute_force_solve(p, objective="sensing")
+            by_pair = {e.pair: e for e in p.edges}
+            brute = asg._solution_key([by_pair[q] for q in pairs], "zeta")
+            if asg._better(brute, asg._solution_key(chosen, "zeta")):
+                found.append((seed, n_d, n_r))
+    assert found == TIE_BREAK_DEFECTS
+
+
 def test_solvers_are_deterministic():
     rng = np.random.default_rng(17)
     p = random_problem(rng, 6, 6)

@@ -50,6 +50,8 @@ def test_malformed_config_is_usage_error(tmp_path):
     {"world": {"rows": 2, "cols": 2, "densities": [1, 1, 1]}},
     {"floor_enabled": "off"},        # a non-empty string is truthy
     {"overreport_fraction": None},   # only remote_frac may be null
+    {"requests_per_hour": 1e300},    # beyond numpy's Poisson mean
+    {"requests_per_hour": 9.3e18, "epochs_per_interval": 1},
     {"world": {"rows": 1, "cols": 2, "densities": [1, 1], "xi": math.nan}},
     {"world": {"rows": 1, "cols": 2, "densities": [1, 1],
                "cell_size_km": math.inf}},   # written as Infinity

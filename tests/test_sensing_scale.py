@@ -132,7 +132,9 @@ def test_sliced_removals_equal_per_removal_solves_on_integer_zeta(
 
 
 def test_removal_slices_hold_the_rebuilt_index(sim_markets):
-    """Each removal's slice equals the index rebuilt from problem.without."""
+    """Each removal's slice equals the index rebuilt from problem.without;
+    under the sensing objective its search walks the rebuilt index's rider
+    order, which is the full index's order kept to the slice's columns."""
     for problem in sim_markets[::4] + SEEDED:
         for objective in (asg.SENSING, asg.WELFARE):
             problem = MatchingProblem(problem.edges, problem.drivers,
@@ -150,6 +152,12 @@ def test_removal_slices_hold_the_rebuilt_index(sim_markets):
                 assert np.array_equal(index.s_raw[grid], rebuilt.s_raw)
                 assert (index.table.at(index.eid[grid][rebuilt.has_edge])
                         == rebuilt.table.at(rebuilt.eid[rebuilt.has_edge]))
+                if objective == asg.SENSING and cols.size:
+                    search = asg._RiderSearch(index, rows, cols)
+                    assert search.r_idx == rebuilt.order.tolist()
+                    kept = set(cols.tolist())
+                    assert search.order.tolist() == [
+                        j for j in index.order.tolist() if j in kept]
 
 
 def test_two_zeta_values_for_one_rider_are_rejected():
@@ -431,8 +439,9 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
                             if served >= set(forced) else None)
 
                 # The status as drawn, then with every undecided rider out.
+                riders = list(inst.r_index)
                 for view in (status, {r: v or 2 for r, v in status.items()}):
-                    search.status = [view[r] for r in search.riders]
+                    search.status = [view[riders[j]] for j in search.r_idx]
                     node = search.relaxation()
                     welfare = best(lambda e: e.sigma, False, view)
                     if welfare is None:
@@ -441,7 +450,7 @@ def test_floor_bound_is_valid_and_tight_against_brute_force():
                         continue
                     sig, rows, cols = node.value, node.rows, node.cols
                     assert sig == pytest.approx(welfare, abs=1e-9)
-                    pairs = search.table.at(search.eid[rows, cols])
+                    pairs = inst.table.at(inst.eid[rows, cols])
                     served = [e.rider for e in pairs]
                     assert len({e.driver for e in pairs}) == len(pairs)
                     assert len(set(served)) == len(served)
@@ -554,11 +563,11 @@ def test_row_cut_keeps_every_bound_and_removal_value(sim_markets,
                 continue
             whole = asg._RiderSearch(index, rows, cols)
             part = asg._RiderSearch(index, rows, cols, keep)
-            assert part.riders == whole.riders and part.big == whole.big
+            assert part.r_idx == whole.r_idx and part.big == whole.big
             bounds = [asg._FloorBound(s.s_raw, s.has_edge, s.zc, lam)
                       for s in (whole, part)]
             for _ in range(6):
-                status = rng.integers(0, 3, len(whole.riders)).tolist()
+                status = rng.integers(0, 3, len(whole.r_idx)).tolist()
                 whole.status[:] = part.status[:] = status
                 sig = [None if n is None else n.value
                        for n in (s.relaxation() for s in (whole, part))]

@@ -1,5 +1,7 @@
 """Demand generation, fleet dynamics, and full scenario runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,23 @@ def test_config_validation():
         small_config(demand_scenario=9)
     with pytest.raises(ConfigurationError):
         small_config(fleet_size=-1)
+
+
+def test_config_bounds_the_per_epoch_demand_mean():
+    """The per-epoch Poisson mean may be as large as numpy draws, and no
+    larger: numpy raises above 2**63 - 1 less 10 sqrt of it."""
+    top = 2 ** 63 - 1
+    limit = top - 10 * math.sqrt(top)
+    rng = np.random.default_rng(0)
+    rng.poisson(limit)
+    with pytest.raises(ValueError):
+        rng.poisson(np.nextafter(limit, math.inf))
+    small_config(requests_per_hour=limit, epochs_per_interval=1)
+    small_config(requests_per_hour=9.3e18, epochs_per_interval=2)
+    for rate, epochs in ((np.nextafter(limit, math.inf), 1), (9.3e18, 1),
+                         (1e300, 4)):
+        with pytest.raises(ConfigurationError):
+            small_config(requests_per_hour=rate, epochs_per_interval=epochs)
 
 
 def test_config_json_round_trip():

@@ -638,7 +638,10 @@ def assert_index_equals_reference(index, edges, sensing):
     assert index.table.at(index.eid[has_edge]) == tuple(by_pair[has_edge])
     if sensing:
         assert same_floats(index.zc.tolist(), [zr[r] for r in r_index])
-        assert index.zr == zr
+        assert dict(zip(index.r_index, index.zc.tolist())) == zr
+        riders = list(r_index)
+        assert ([riders[j] for j in index.order.tolist()]
+                == sorted(zr, key=lambda r: (-zr[r], r)))
 
 
 def ref_tau_min(drivers, riders, edges):
