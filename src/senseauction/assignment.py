@@ -59,6 +59,32 @@ Which path runs:
   removals cost one LSA: one whose incumbent meets the floor and reaches
   U* ends at that test and builds none of the walk's state, which is made
   on first read.
+- Where removals run (_removal_helper): in the settle's process, unless
+  the settle has at least 2 removals, its sensing index at least
+  _HELPER_CELLS drivers x riders cells (the measured break-even of the
+  hand-off, about 400), the process may run on at least 2 CPUs
+  (os.sched_getaffinity) and the fork start method exists (and, to fork,
+  the process has no other thread). Then the removals are shared with the
+  removal helper (_RemovalHelper): one daemon process, forked on first use
+  and kept, that ignores SIGINT and exits when its pipe ends. The settle's
+  process first computes the index's lazy fields (removal_state: has_edge,
+  zc, order, zeta_integral, col_best, search_rows and the floor
+  multiplier), sends them once with each removal's row or column, and both
+  processes then take removals from one shared counter and call the one
+  removal function (_removal_value), so every value is bit-identical to
+  the in-process loop's. A generation number makes the helper drop a
+  settle that ended before it claimed anything. A process that
+  multiprocessing started (a `compare --jobs` worker, a daemonic pool
+  worker) runs its removals in-process; a plain fork of the helper's owner
+  does not use the owner's helper (the owner pid differs). A broken helper
+  costs only speed: a helper that dies or whose pipe fails is closed, what
+  it claimed and did not return is computed in-process (so errors keep
+  their types), and the next settle forks a new one; anything raised while
+  the settle hands off or waits (a removal's error, an interrupt, a signal
+  handler's exception) terminates and joins the helper before it
+  propagates. Module attributes are the helper's copy from its fork: a
+  test that patches the search must keep its removals in-process
+  (_HELPER_CELLS = inf).
 - Row cut (_Instance.search_rows), once per settle when there are more
   than n_c + 1 drivers for n_c riders: removal searches keep only the
   rows among some rider's n_c + 1 best drivers by sigma (ties to the lower
@@ -115,6 +141,10 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -143,6 +173,19 @@ _LAGRANGE_AFTER = 16
 # skips the relaxation only when a matching it holds has welfare >= 1e-4,
 # and the welfare bound prunes only below -1e-9 - 1e-4.
 _FLOOR_SLACK = 1e-4
+# A DS settle with at least two removals shares them with the removal helper
+# (_RemovalHelper) when its sensing index has at least this many cells,
+# drivers x riders. Measured on a 2-core host over the 432 DS settles of the
+# sim-default cells (scenario 3, fleets 20 and 60, seeds 0-2): a hand-off
+# costs about 50 us (two trivial removals take 58 us shared, 24 us
+# in-process), plus up to 90 us for the floor multiplier where no search had
+# needed it. Shared removals beat in-process ones in the median from about
+# 300-400 cells (0.4 ms of in-process removal work), and from 500 cells take
+# about 0.7 of its time.
+_HELPER_CELLS = 400
+# How long a wait for the removal counter's lock lasts before the waiter
+# checks that the other process is still alive, in seconds.
+_LOCK_POLL = 0.05
 
 WELFARE = "welfare"
 SENSING = "sensing"
@@ -432,31 +475,15 @@ def marginal_objective(problem: MatchingProblem, remove: str) -> float:
 
 
 def _removals(index, problem: MatchingProblem, participants):
-    """Yield (participant, rows, cols) for each removal.
-
-    rows and cols select, in order, the rows and columns of `index` that an
-    index rebuilt from problem.without(participant) would hold: the
-    participant's row or column goes, and so does every column or row whose
-    only edges it held (found from per-row and per-column edge counts).
-    Driver and rider ids are distinct.
-    """
+    """Yield (participant, row, col) for each removal: the removed driver's
+    row of `index` or rider's column, the other None, and both None for a
+    participant with no edge in the index (_Instance.without slices it).
+    Driver and rider ids are distinct."""
     known = set(problem.drivers) | set(problem.riders)
-    has_edge = index.has_edge
-    n_row, n_col = has_edge.sum(axis=1), has_edge.sum(axis=0)
-    all_rows, all_cols = np.arange(n_row.size), np.arange(n_col.size)
     for p in participants:
         if p not in known:
             raise ContractError(f"participant {p!r} not in problem")
-        rows, cols = all_rows, all_cols
-        if p in index.d_index:
-            i = index.d_index[p]
-            rows = all_rows[all_rows != i]
-            cols = (n_col > has_edge[i]).nonzero()[0]
-        elif p in index.r_index:
-            j = index.r_index[p]
-            rows = (n_row > has_edge[:, j]).nonzero()[0]
-            cols = all_cols[all_cols != j]
-        yield p, rows, cols
+        yield p, index.d_index.get(p), index.r_index.get(p)
 
 
 def welfare_marginals(problem: MatchingProblem, participants,
@@ -483,22 +510,188 @@ def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
 
     `solution` must be the sensing optimum of `problem` and `inst` its
     settle index (built here when not given). Each removal is a slice of
-    that index, searched from a warm start with an early exit (see the
-    module docstring).
+    that index, searched from a warm start with an early exit, here or, on
+    a large index, shared with the removal helper (see the module
+    docstring).
     """
     index = _Instance(problem.table) if inst is None else inst
-    at = index.r_index
-    optimal_set = frozenset(at[r] for r in solution.matched_riders)
-    out = {}
-    for p, rows, cols in _removals(index, problem, participants):
-        if not (rows.size and cols.size):
-            out[p] = 0.0
-            continue
-        out[p], _ = _optimal_primary_riders(
-            _RiderSearch(index, rows, cols, index.search_rows),
-            incumbent=optimal_set - {at.get(p)},
-            target=solution.objective_value)
-    return out
+    optimal = frozenset(index.r_index[r] for r in solution.matched_riders)
+    target = solution.objective_value
+    cuts = list(_removals(index, problem, participants))
+    helper = _removal_helper(index, len(cuts))
+    done = {} if helper is None else helper.share(
+        index, optimal, target, [(i, j) for _, i, j in cuts])
+    return {p: done[k] if k in done
+            else _removal_value(index, optimal, target, i, j)
+            for k, (p, i, j) in enumerate(cuts)}
+
+
+def _removal_value(index: _Instance, optimal: frozenset, target: float,
+                   i, j) -> float:
+    """The sensing optimum of `index` without row i's driver or column j's
+    rider: pass 1 over the slice (_Instance.without), from the optimal rider
+    set `optimal` (less the rider) with the early exit at `target`, the
+    settle's optimum. The one removal function of both the settle's process
+    and the removal helper."""
+    rows, cols = index.without(i, j)
+    if not (rows.size and cols.size):
+        return 0.0
+    return _optimal_primary_riders(
+        _RiderSearch(index, rows, cols, index.search_rows),
+        incumbent=optimal - {j}, target=target)[0]
+
+
+def _removal_helper(index: _Instance, n_removals: int):
+    """This process's _RemovalHelper when a settle of n_removals removals
+    over `index` pays for the hand-off, forked on first use and again after
+    it died; else None. A process that multiprocessing started (a `compare
+    --jobs` worker, a daemonic pool worker) never uses one, and a plain
+    fork does not use the helper it inherits (its owner pid differs)."""
+    global _helper
+    if n_removals < 2 or index.s_raw.size < _HELPER_CELLS:
+        return None
+    if (multiprocessing.parent_process() is not None
+            or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    if _helper is not None and _helper.owner != os.getpid():
+        _helper = None
+    if _helper is not None and not _helper.proc.is_alive():
+        _helper.close()
+    if _helper is None:
+        if threading.active_count() > 1:
+            # fork copies only this thread: a lock another one holds would
+            # stay held in the helper.
+            return None
+        _helper = _RemovalHelper()
+    return _helper
+
+
+def _acquire(lock, alive) -> bool:
+    """Take the counter's lock, or False once the other process has died
+    (alive() is false) while it may hold it."""
+    while not lock.acquire(timeout=_LOCK_POLL):
+        if not alive():
+            return False
+    return True
+
+
+def _claim(shared, lock, gen: int, n: int, alive):
+    """The next removal of settle `gen` from the shared counter (generation,
+    next removal), or None once all n are taken, when the settle is stale
+    or when the other process died."""
+    if not _acquire(lock, alive):
+        return None
+    try:
+        if shared[0] != gen or shared[1] >= n:
+            return None
+        k = shared[1]
+        shared[1] = k + 1
+        return k
+    finally:
+        lock.release()
+
+
+class _RemovalHelper:
+    """The removal helper: one daemon process, forked from the settle's
+    process, that shares each large DS settle's removals with it.
+
+    Per settle the settle's process bumps the generation, resets the shared
+    counter and sends the index's removal_state, the optimal rider set, the
+    target and each removal's (row, col) once; then both take removals from
+    the counter and call _removal_value until none is left, and the helper
+    sends back the values it computed. A helper that fails, or whose pipe
+    fails, is closed, and the next settle forks a new one; share() returns
+    what it has and the caller computes the rest in-process. Anything else
+    raised in share() (an error of the settle's own removals, an interrupt,
+    a signal handler's exception) closes the helper before it propagates.
+    Forked, not spawned: the helper starts from this process's loaded
+    modules, with no import or start-up cost.
+    """
+
+    def __init__(self):
+        ctx = multiprocessing.get_context("fork")
+        self.owner, self.gen = os.getpid(), 0
+        self.lock = ctx.Lock()
+        self.shared = ctx.RawArray("q", 2)     # generation, next removal
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_helper_main, daemon=True,
+                                args=(child, self.shared, self.lock,
+                                      self.owner))
+        self.proc.start()
+        child.close()
+
+    def close(self) -> None:
+        global _helper
+        if _helper is self:
+            _helper = None
+        self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
+
+    def share(self, index: _Instance, optimal: frozenset, target: float,
+              cuts: list) -> dict[int, float]:
+        """The removals (row, col) of `cuts` computed here or by the helper,
+        by position: all of them unless the helper failed."""
+        n, done = len(cuts), {}
+        alive = self.proc.is_alive
+        try:
+            if not _acquire(self.lock, alive):
+                self.close()
+                return done
+            self.gen += 1
+            self.shared[0], self.shared[1] = self.gen, 0
+            self.lock.release()
+            self.conn.send((self.gen, index.removal_state(), optimal,
+                            target, cuts))
+            while (k := _claim(self.shared, self.lock, self.gen, n,
+                               alive)) is not None:
+                done[k] = _removal_value(index, optimal, target, *cuts[k])
+            # What this process did not take, the helper claimed; it sends
+            # its values once, unless it claimed none.
+            while len(done) < n:
+                gen, theirs = self.conn.recv()
+                if gen == self.gen:
+                    done.update(theirs)
+                    break
+        except (EOFError, OSError):
+            self.close()
+        except BaseException:
+            self.close()
+            raise
+        return done
+
+
+def _helper_main(conn, shared, lock, owner: int) -> None:
+    """The removal helper's loop: one settle per message, until the pipe
+    ends. A message of a settle whose generation has passed claims nothing,
+    so it is dropped."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    alive = lambda: os.getppid() == owner   # noqa: E731
+    while True:
+        try:
+            gen, state, optimal, target, cuts = conn.recv()
+        except (EOFError, OSError):
+            return
+        index = _Instance.of_removal_state(state)
+        done, claimed = {}, False
+        while (k := _claim(shared, lock, gen, len(cuts), alive)) is not None:
+            claimed = True
+            try:
+                done[k] = _removal_value(index, optimal, target, *cuts[k])
+            except Exception:
+                # Left out: the settle's process computes it and raises.
+                pass
+        if claimed:
+            try:
+                conn.send((gen, done))
+            except OSError:
+                return
+
+
+_helper: _RemovalHelper | None = None
 
 
 def _welfare_index(problem: MatchingProblem) -> _Instance:
@@ -783,6 +976,42 @@ class _Instance:
         keep = np.zeros(n_d, dtype=bool)
         keep[top[self.has_edge[top, np.arange(n_c)]]] = True
         return None if keep.all() else keep
+
+    @_lazy
+    def edge_counts(self):
+        """Each row's and each column's number of edges."""
+        return self.has_edge.sum(axis=1), self.has_edge.sum(axis=0)
+
+    def without(self, i, j):
+        """(rows, cols): the rows and columns, in order, that an index
+        rebuilt without row i's driver or column j's rider (None for
+        neither) would hold. That participant's row or column goes, and so
+        does every column or row whose only edges it held."""
+        n_row, n_col = self.edge_counts
+        rows, cols = np.arange(n_row.size), np.arange(n_col.size)
+        if i is not None:
+            cols = (n_col > self.has_edge[i]).nonzero()[0]
+            rows = rows[rows != i]
+        elif j is not None:
+            rows = (n_row > self.has_edge[:, j]).nonzero()[0]
+            cols = cols[cols != j]
+        return rows, cols
+
+    def removal_state(self) -> dict:
+        """What a removal search reads of this index, each lazy field
+        computed here first: the removal helper rebuilds the index from it
+        (of_removal_state), so its searches read the same values."""
+        self.floor_multiplier()
+        return {name: getattr(self, name) for name in (
+            "s_raw", "has_edge", "zc", "order", "zeta_integral", "col_best",
+            "search_rows", "_floor_lam")}
+
+    @classmethod
+    def of_removal_state(cls, state: dict) -> "_Instance":
+        """The index of removal_state, without its table and ids."""
+        index = cls.__new__(cls)
+        index.__dict__.update(state)
+        return index
 
     @_lazy
     def col_best(self) -> np.ndarray:

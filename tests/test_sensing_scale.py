@@ -141,7 +141,8 @@ def test_removal_slices_hold_the_rebuilt_index(sim_markets):
                                       problem.riders, objective=objective)
             index = asg.settle_index(problem)
             participants = problem.drivers + problem.riders
-            for p, rows, cols in asg._removals(index, problem, participants):
+            for p, row, col in asg._removals(index, problem, participants):
+                rows, cols = index.without(row, col)
                 rebuilt = asg.settle_index(problem.without(p))
                 grid = np.ix_(rows, cols)
                 assert ([list(index.d_index)[i] for i in rows]
@@ -295,6 +296,8 @@ def test_floor_bound_only_prunes(sim_markets, monkeypatch):
     node count or at the first node."""
     binding = [p for p in FLOOR_BINDING
                if asg.settle_index(p).floor_multiplier() > 0.0]
+    # The spies see this process only: keep every removal search here.
+    monkeypatch.setattr(asg, "_HELPER_CELLS", math.inf)
     assert len(binding) >= 9
     calls = lsa_calls(monkeypatch)
     solves = []
@@ -336,6 +339,8 @@ def test_welfare_bound_only_prunes(sim_markets, monkeypatch):
     bound is at least its total. Checked at every welfare test of the
     solve and every removal, on every ds market of a default run and the
     seeded integer-zeta markets."""
+    # The spies see this process only: keep every removal search here.
+    monkeypatch.setattr(asg, "_HELPER_CELLS", math.inf)
     relaxation = asg._RiderSearch.relaxation
     pruned = solved = 0
 
@@ -557,7 +562,8 @@ def test_row_cut_keeps_every_bound_and_removal_value(sim_markets,
         n_d, n_c = index.s_raw.shape
         slices = [(None, np.arange(n_d), np.arange(n_c))]
         picked = list(rng.choice(problem.drivers + problem.riders, 3))
-        slices += list(asg._removals(index, problem, picked))
+        slices += [(p, *index.without(row, col))
+                   for p, row, col in asg._removals(index, problem, picked)]
         for _, rows, cols in slices:
             if not (rows.size and cols.size):
                 continue
@@ -614,6 +620,8 @@ def test_integral_path_equals_per_removal_solves(monkeypatch):
     for bit, and a seeded sample equals the MILP. One zeta of 2.5 keeps an
     index off that path: on these markets a whole-unit prune would lose a
     better rider set, which the MILP of every removal would show."""
+    # The spies see this process only: keep every removal search here.
+    monkeypatch.setattr(asg, "_HELPER_CELLS", math.inf)
     rng = np.random.default_rng(5)
     roots = []
     run = asg._RiderSearch.run
