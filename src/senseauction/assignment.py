@@ -63,28 +63,33 @@ Which path runs:
   the settle has at least 2 removals, its sensing index at least
   _HELPER_CELLS drivers x riders cells (the measured break-even of the
   hand-off, about 400), the process may run on at least 2 CPUs
-  (os.sched_getaffinity) and the fork start method exists (and, to fork,
-  the process has no other thread). Then the removals are shared with the
-  removal helper (_RemovalHelper): one daemon process, forked on first use
-  and kept, that ignores SIGINT and exits when its pipe ends. The settle's
-  process first computes the index's lazy fields (removal_state: has_edge,
-  zc, order, zeta_integral, col_best, search_rows and the floor
-  multiplier), sends them once with each removal's row or column, and both
-  processes then take removals from one shared counter and call the one
-  removal function (_removal_value), so every value is bit-identical to
-  the in-process loop's. A generation number makes the helper drop a
-  settle that ended before it claimed anything. A process that
-  multiprocessing started (a `compare --jobs` worker, a daemonic pool
-  worker) runs its removals in-process; a plain fork of the helper's owner
-  does not use the owner's helper (the owner pid differs). A broken helper
-  costs only speed: a helper that dies or whose pipe fails is closed, what
-  it claimed and did not return is computed in-process (so errors keep
-  their types), and the next settle forks a new one; anything raised while
-  the settle hands off or waits (a removal's error, an interrupt, a signal
-  handler's exception) terminates and joins the helper before it
-  propagates. Module attributes are the helper's copy from its fork: a
-  test that patches the search must keep its removals in-process
-  (_HELPER_CELLS = inf).
+  (os.sched_getaffinity), the fork start method exists (and, to fork, the
+  process has no other thread) and the settle's claim records fit in one
+  atomic pipe write (select.PIPE_BUF bytes). Then the removals are shared
+  with the removal helper (_RemovalHelper): one daemon process, forked on
+  first use and kept, that ignores SIGINT and exits when its message pipe
+  ends. Per settle, the settle's process writes one fixed-size record
+  (settle number, removal position) per removal to a claim pipe in one
+  write, then sends the index's lazy fields (removal_state: has_edge, zc,
+  order, zeta_integral, col_best, search_rows, and lam where a search
+  already made it) with each removal's row or column. Both processes take
+  records with one non-blocking read each until the pipe is empty and call
+  the one removal function (_removal_value), so every value is
+  bit-identical to the in-process loop's, and no claim waits on the other
+  process. A helper still holding an older settle's message reads messages
+  up to the record's settle. It replies once per settle in which it took a
+  record, and the settle's process waits for that reply only when it did
+  not compute every removal itself. A process that multiprocessing started
+  (a `compare --jobs` worker, a daemonic pool worker) runs its removals
+  in-process; a plain fork of the helper's owner does not use the owner's
+  helper (the owner pid differs). A broken helper costs only speed: a
+  helper that dies or whose pipe fails is closed, what it took and did not
+  return is computed in-process (so errors keep their types), and the next
+  settle forks a new one; anything raised while the settle hands off or
+  waits (a removal's error, an interrupt, a signal handler's exception)
+  terminates and joins the helper before it propagates. Module attributes
+  are the helper's copy from its fork: a test that patches the search must
+  keep its removals in-process (_HELPER_CELLS = inf).
 - Row cut (_Instance.search_rows), once per settle when there are more
   than n_c + 1 drivers for n_c riders: removal searches keep only the
   rows among some rider's n_c + 1 best drivers by sigma (ties to the lower
@@ -143,7 +148,9 @@ import json
 import math
 import multiprocessing
 import os
+import select
 import signal
+import struct
 import threading
 from dataclasses import dataclass
 from itertools import compress
@@ -183,9 +190,6 @@ _FLOOR_SLACK = 1e-4
 # 300-400 cells (0.4 ms of in-process removal work), and from 500 cells take
 # about 0.7 of its time.
 _HELPER_CELLS = 400
-# How long a wait for the removal counter's lock lasts before the waiter
-# checks that the other process is still alive, in seconds.
-_LOCK_POLL = 0.05
 
 WELFARE = "welfare"
 SENSING = "sensing"
@@ -553,7 +557,9 @@ def _removal_helper(index: _Instance, n_removals: int):
     if (multiprocessing.parent_process() is not None
             or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2
-            or "fork" not in multiprocessing.get_all_start_methods()):
+            or "fork" not in multiprocessing.get_all_start_methods()
+            # A larger write is not atomic and could block on a full pipe.
+            or n_removals * _RemovalHelper.record.size > select.PIPE_BUF):
         return None
     if _helper is not None and _helper.owner != os.getpid():
         _helper = None
@@ -568,57 +574,40 @@ def _removal_helper(index: _Instance, n_removals: int):
     return _helper
 
 
-def _acquire(lock, alive) -> bool:
-    """Take the counter's lock, or False once the other process has died
-    (alive() is false) while it may hold it."""
-    while not lock.acquire(timeout=_LOCK_POLL):
-        if not alive():
-            return False
-    return True
-
-
-def _claim(shared, lock, gen: int, n: int, alive):
-    """The next removal of settle `gen` from the shared counter (generation,
-    next removal), or None once all n are taken, when the settle is stale
-    or when the other process died."""
-    if not _acquire(lock, alive):
-        return None
+def _claim(claims: int):
+    """The next (settle number, removal position) record of the claim pipe,
+    or None once it is empty. One os.read of one record: the read end never
+    blocks, and each write holds whole records."""
     try:
-        if shared[0] != gen or shared[1] >= n:
-            return None
-        k = shared[1]
-        shared[1] = k + 1
-        return k
-    finally:
-        lock.release()
+        return _RemovalHelper.record.unpack(
+            os.read(claims, _RemovalHelper.record.size))
+    except BlockingIOError:
+        return None
 
 
 class _RemovalHelper:
     """The removal helper: one daemon process, forked from the settle's
-    process, that shares each large DS settle's removals with it.
-
-    Per settle the settle's process bumps the generation, resets the shared
-    counter and sends the index's removal_state, the optimal rider set, the
-    target and each removal's (row, col) once; then both take removals from
-    the counter and call _removal_value until none is left, and the helper
-    sends back the values it computed. A helper that fails, or whose pipe
-    fails, is closed, and the next settle forks a new one; share() returns
-    what it has and the caller computes the rest in-process. Anything else
-    raised in share() (an error of the settle's own removals, an interrupt,
-    a signal handler's exception) closes the helper before it propagates.
-    Forked, not spawned: the helper starts from this process's loaded
-    modules, with no import or start-up cost.
+    process, that shares each large DS settle's removals with it through
+    the claim pipe's records and one message per settle (see the module
+    docstring). A helper that fails, or whose pipe fails, is closed, and
+    the next settle forks a new one; share() returns what it has and the
+    caller computes the rest in-process. Anything else raised in share()
+    (an error of the settle's own removals, an interrupt, a signal
+    handler's exception) closes the helper before it propagates. Forked,
+    not spawned: the helper starts from this process's loaded modules, with
+    no import or start-up cost.
     """
+
+    record = struct.Struct("qq")    # settle number, removal position
 
     def __init__(self):
         ctx = multiprocessing.get_context("fork")
-        self.owner, self.gen = os.getpid(), 0
-        self.lock = ctx.Lock()
-        self.shared = ctx.RawArray("q", 2)     # generation, next removal
+        self.owner, self.settle = os.getpid(), 0
+        self.claims, self.records = os.pipe()
+        os.set_blocking(self.claims, False)
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_helper_main, daemon=True,
-                                args=(child, self.shared, self.lock,
-                                      self.owner))
+                                args=(child, self.conn, self.claims))
         self.proc.start()
         child.close()
 
@@ -629,32 +618,27 @@ class _RemovalHelper:
         self.proc.terminate()
         self.proc.join()
         self.conn.close()
+        os.close(self.claims)
+        os.close(self.records)
 
     def share(self, index: _Instance, optimal: frozenset, target: float,
               cuts: list) -> dict[int, float]:
         """The removals (row, col) of `cuts` computed here or by the helper,
         by position: all of them unless the helper failed."""
         n, done = len(cuts), {}
-        alive = self.proc.is_alive
+        self.settle += 1
         try:
-            if not _acquire(self.lock, alive):
-                self.close()
-                return done
-            self.gen += 1
-            self.shared[0], self.shared[1] = self.gen, 0
-            self.lock.release()
-            self.conn.send((self.gen, index.removal_state(), optimal,
-                            target, cuts))
-            while (k := _claim(self.shared, self.lock, self.gen, n,
-                               alive)) is not None:
+            message = (self.settle, index.removal_state(), optimal, target,
+                       cuts)
+            os.write(self.records, b"".join(
+                self.record.pack(self.settle, k) for k in range(n)))
+            self.conn.send(message)
+            while (claim := _claim(self.claims)) is not None:
+                _, k = claim
                 done[k] = _removal_value(index, optimal, target, *cuts[k])
-            # What this process did not take, the helper claimed; it sends
-            # its values once, unless it claimed none.
-            while len(done) < n:
-                gen, theirs = self.conn.recv()
-                if gen == self.gen:
-                    done.update(theirs)
-                    break
+            if len(done) < n:
+                # The helper took the rest.
+                done.update(self.conn.recv())
         except (EOFError, OSError):
             self.close()
         except BaseException:
@@ -663,32 +647,35 @@ class _RemovalHelper:
         return done
 
 
-def _helper_main(conn, shared, lock, owner: int) -> None:
-    """The removal helper's loop: one settle per message, until the pipe
-    ends. A message of a settle whose generation has passed claims nothing,
-    so it is dropped."""
+def _helper_main(conn, owners_end, claims: int) -> None:
+    """The removal helper's loop: one settle per message, until the message
+    pipe ends. A record names its settle, so a helper still holding an
+    older settle's message, whose records the settle's process took,
+    reads messages up to the record's."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    alive = lambda: os.getppid() == owner   # noqa: E731
-    while True:
-        try:
-            gen, state, optimal, target, cuts = conn.recv()
-        except (EOFError, OSError):
-            return
-        index = _Instance.of_removal_state(state)
-        done, claimed = {}, False
-        while (k := _claim(shared, lock, gen, len(cuts), alive)) is not None:
-            claimed = True
-            try:
-                done[k] = _removal_value(index, optimal, target, *cuts[k])
-            except Exception:
-                # Left out: the settle's process computes it and raises.
-                pass
-        if claimed:
-            try:
-                conn.send((gen, done))
-            except OSError:
-                return
+    # The fork copied the settle's process's end: closed, the pipe ends when
+    # that process does.
+    owners_end.close()
+    try:
+        while True:
+            settle, state, optimal, target, cuts = conn.recv()
+            done = None
+            while (claim := _claim(claims)) is not None:
+                number, k = claim
+                while number != settle:
+                    settle, state, optimal, target, cuts = conn.recv()
+                if done is None:
+                    index, done = _Instance.of_removal_state(state), {}
+                try:
+                    done[k] = _removal_value(index, optimal, target, *cuts[k])
+                except Exception:
+                    # Left out: the settle's process computes it and raises.
+                    pass
+            if done is not None:
+                conn.send(done)
+    except (EOFError, OSError):
+        return
 
 
 _helper: _RemovalHelper | None = None
@@ -1000,8 +987,9 @@ class _Instance:
     def removal_state(self) -> dict:
         """What a removal search reads of this index, each lazy field
         computed here first: the removal helper rebuilds the index from it
-        (of_removal_state), so its searches read the same values."""
-        self.floor_multiplier()
+        (of_removal_state), so its searches read the same values. The floor
+        multiplier goes as it stands, None where no search needed it yet;
+        the helper then computes it on first use from the same arrays."""
         return {name: getattr(self, name) for name in (
             "s_raw", "has_edge", "zc", "order", "zeta_integral", "col_best",
             "search_rows", "_floor_lam")}

@@ -4,17 +4,23 @@ forked process, and every value equals the in-process one bit for bit.
 The saved markets-large markets are all above the helper's gate
 (_HELPER_CELLS), so tests/data/settle_golden.json pins the helper path on
 them; these tests pin the in-process path against the same file, and check
-what forked children, a killed helper and an interrupted settle do.
+what forked children, a killed, stopped or failing helper, an interrupted
+settle and the platform gates do.
 """
 
+import array
 import copy
+import fcntl
 import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import termios
 import textwrap
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -42,12 +48,17 @@ def large():
     return problems, [dict(ds["removals"]) for _, ds in want]
 
 
+def saved_market(large, name):
+    """The saved market of file `name` and its golden removals."""
+    manifest = json.loads((SAVED / "markets_large.json").read_text())
+    k = [entry["file"] for entry in manifest["markets"]].index(name)
+    return large[0][k], large[1][k]
+
+
 @pytest.fixture(scope="module")
 def stress(large):
     """stress8-e00, the largest saved market, and its golden removals."""
-    manifest = json.loads((SAVED / "markets_large.json").read_text())
-    k = [entry["file"] for entry in manifest["markets"]].index(STRESS)
-    return large[0][k], large[1][k]
+    return saved_market(large, STRESS)
 
 
 def removal_hex(problem):
@@ -73,6 +84,89 @@ def test_both_paths_equal_the_golden_removals(large, monkeypatch):
     assert helper_pid() is not None
     monkeypatch.setattr(asg, "_HELPER_CELLS", float("inf"))
     assert [removal_hex(p) for p in problems] == want
+
+
+def counting_removals(monkeypatch, before=None):
+    """Patch _removal_value in this process (a helper forked earlier keeps
+    its own) to record each call, after calling before() on the first one;
+    the list of calls' arguments."""
+    calls, real = [], asg._removal_value
+
+    def counted(*args):
+        if before is not None and not calls:
+            before()
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(asg, "_removal_value", counted)
+    return calls
+
+
+def test_the_helper_takes_removals(large, monkeypatch):
+    """Above the gate the helper computes some of the removals: a helper
+    whose every removal failed would leave them all to this process, and
+    the values would still be right."""
+    problems, want = large
+    calls = counting_removals(monkeypatch)
+    assert [removal_hex(p) for p in problems] == want
+    assert len(calls) < sum(map(len, want))
+
+
+def unread(fd):
+    """The number of bytes waiting in pipe fd."""
+    buf = array.array("i", [0])
+    fcntl.ioctl(fd, termios.FIONREAD, buf)
+    return buf[0]
+
+
+def test_a_stale_settle_is_passed_over(large, monkeypatch):
+    """A helper stopped through one settle holds that settle's message when
+    it takes the next settle's records: it reads on to the record's
+    message, and both settles equal the golden removals."""
+    stale, want_stale = saved_market(large, "stress18-ds-e06.json.gz")
+    fresh, want_fresh = saved_market(large, "stress18-ds-e12.json.gz")
+    assert removal_hex(stale) == want_stale
+    helper = asg._helper
+    pid = helper.proc.pid
+
+    def resume():
+        # Wait until the resumed helper has taken one of the records left.
+        left = unread(helper.claims)
+        os.kill(pid, signal.SIGCONT)
+        deadline = time.monotonic() + 30
+        while unread(helper.claims) == left and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        assert removal_hex(stale) == want_stale     # every record taken here
+        calls = counting_removals(monkeypatch, resume)
+        assert removal_hex(fresh) == want_fresh
+    finally:
+        os.kill(pid, signal.SIGCONT)
+    assert len(calls) < len(want_fresh)
+    assert helper_pid() == pid
+
+
+def test_platform_gates_keep_removals_in_process(stress, monkeypatch):
+    """One allowed CPU, or a live second thread (fork would copy only this
+    one), forks no helper, and the settle is still exact."""
+    problem, want = stress
+    if asg._helper is not None:
+        asg._helper.close()
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert removal_hex(problem) == want
+    assert asg._helper is None
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert removal_hex(problem) == want
+    finally:
+        release.set()
+        thread.join()
+    assert asg._helper is None
 
 
 def settle_in_child(problem):
@@ -181,22 +275,51 @@ def test_interrupted_settle_closes_the_helper(stress):
     assert helper_pid() not in (None, helper.proc.pid)
 
 
+# A child process that settles stress8-e00 and prints its helper's pid.
+SETTLE_SCRIPT = textwrap.dedent(f"""
+    import gzip, json
+    from senseauction import assignment as asg, pricing
+    with gzip.open({str(SAVED / "markets" / STRESS)!r}, "rt") as fh:
+        problem = asg.problem_from_json(json.load(fh))
+    problem.objective = asg.SENSING
+    index = asg.settle_index(problem)
+    solution = asg.solve(problem, index)
+    pricing.compute_marginals(problem, solution, index)
+    print(asg._helper.proc.pid, flush=True)
+""")
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+
 def test_helper_exits_with_its_process():
-    script = textwrap.dedent(f"""
-        import gzip, json
-        from senseauction import assignment as asg, pricing
-        with gzip.open({str(SAVED / "markets" / STRESS)!r}, "rt") as fh:
-            problem = asg.problem_from_json(json.load(fh))
-        problem.objective = asg.SENSING
-        index = asg.settle_index(problem)
-        solution = asg.solve(problem, index)
-        pricing.compute_marginals(problem, solution, index)
-        print(asg._helper.proc.pid)
-    """)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", SETTLE_SCRIPT], env=ENV,
                           capture_output=True, text=True, timeout=120,
                           check=True)
     pid = int(done.stdout.split()[-1])
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)
+
+
+def running(pid) -> bool:
+    """pid is a live process, not gone and not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_helper_exits_when_its_process_is_killed():
+    """SIGKILL runs no exit handler: the helper sees its message pipe end."""
+    with subprocess.Popen(
+            [sys.executable, "-c", SETTLE_SCRIPT + "input()\n"], env=ENV,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
+        pid = int(proc.stdout.readline())
+        proc.kill()
+    deadline = time.monotonic() + 30
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    try:
+        assert not running(pid)
+    finally:
+        if running(pid):
+            os.kill(pid, signal.SIGKILL)
