@@ -60,36 +60,57 @@ Which path runs:
   U* ends at that test and builds none of the walk's state, which is made
   on first read.
 - Where removals run (_removal_helper): in the settle's process, unless
-  the settle has at least 2 removals, its sensing index at least
-  _HELPER_CELLS drivers x riders cells (the measured break-even of the
-  hand-off, about 400), the process may run on at least 2 CPUs
-  (os.sched_getaffinity), the fork start method exists (and, to fork, the
-  process has no other thread) and the settle's claim records fit in one
-  atomic pipe write (select.PIPE_BUF bytes). Then the removals are shared
-  with the removal helper (_RemovalHelper): one daemon process, forked on
-  first use and kept, that ignores SIGINT and exits when its message pipe
-  ends. Per settle, the settle's process writes one fixed-size record
+  the settle has at least 2 removals, the process may run on at least 2
+  CPUs (os.sched_getaffinity), the fork start method exists (and, to fork,
+  the process has no other thread) and the settle's claim records fit in
+  one atomic pipe write (select.PIPE_BUF bytes). Then the removals go to
+  the removal helper (_RemovalHelper): one daemon process, forked on first
+  use and kept, that ignores SIGINT and exits when its message pipe ends.
+  A settle that waits for its values (pricing.settle_epoch called directly:
+  markets, properties, check, tests) also needs a sensing index of at least
+  _HELPER_CELLS drivers x riders cells, the measured break-even of the
+  hand-off (about 400). A settle of run_scenario (sensing_marginals with
+  queue) needs no size: it returns at once as a QueuedMarginals, and the
+  simulator commits the epoch from the solution, which no price feeds, and
+  goes on: the EpochOutcome step_epoch returns then holds a
+  pricing.PendingSettlement, and gets its EpochSettlement from
+  run_scenario's drain (SimulationState.settle_pending), before each
+  interval's KPIs. After any error run_scenario drops what is queued, so
+  nothing it returns holds a pending settlement.
+- The queue: per settle, the settle's process writes one fixed-size record
   (settle number, removal position) per removal to a claim pipe in one
-  write, then sends the index's lazy fields (removal_state: has_edge, zc,
-  order, zeta_integral, col_best, search_rows, and lam where a search
-  already made it) with each removal's row or column. Both processes take
-  records with one non-blocking read each until the pipe is empty and call
-  the one removal function (_removal_value), so every value is
-  bit-identical to the in-process loop's, and no claim waits on the other
-  process. A helper still holding an older settle's message reads messages
-  up to the record's settle. It replies once per settle in which it took a
-  record, and the settle's process waits for that reply only when it did
-  not compute every removal itself. A process that multiprocessing started
-  (a `compare --jobs` worker, a daemonic pool worker) runs its removals
-  in-process; a plain fork of the helper's owner does not use the owner's
-  helper (the owner pid differs). A broken helper costs only speed: a
-  helper that dies or whose pipe fails is closed, what it took and did not
-  return is computed in-process (so errors keep their types), and the next
-  settle forks a new one; anything raised while the settle hands off or
+  write, then sends one message: the index's lazy fields (removal_state:
+  has_edge, zc, order, zeta_integral, col_best, search_rows, and lam where
+  a search already made it) with each removal's row or column. Records and
+  messages keep their order, so the queue is a FIFO of settles. Both
+  processes take records with one non-blocking read each and call the one
+  removal function (_removal_value), so every value is bit-identical to the
+  in-process loop's, and no claim waits on the other process. The helper
+  takes records until the pipe is empty or a record names a later settle,
+  and replies once per message, with the settle number and its values. The
+  settle's process takes the replies that have come, without waiting, at
+  every hand-off; when it needs a settle's values it claims every record
+  left, its own and later settles', and waits for that settle's reply only
+  if the helper took some of them. A settle stays in the queue until its
+  reply, and the queue holds at most _QUEUE_RECORDS records and
+  _QUEUE_BYTES of messages, below what the claim pipe and the message
+  socket hold. So neither process can block on the other: a settle that
+  finds no room, and a queue whose helper is stopped, have their removals
+  computed by the settle's process. A removal that raises is kept as None
+  and computed again when its settle's values are read, so the earliest
+  settle's error is the one raised, with its own type.
+- A broken helper costs only speed: a helper that dies or whose pipe fails
+  is closed (with what is queued), what it took and did not return is
+  computed in-process (so errors keep their types), and the next settle
+  forks a new one; anything raised while the settle's process hands off or
   waits (a removal's error, an interrupt, a signal handler's exception)
-  terminates and joins the helper before it propagates. Module attributes
-  are the helper's copy from its fork: a test that patches the search must
-  keep its removals in-process (_HELPER_CELLS = inf).
+  kills and joins the helper before it propagates. A process that
+  multiprocessing started (a `compare --jobs` worker, a daemonic pool
+  worker) runs its removals in-process; a plain fork of the helper's owner
+  does not use the owner's helper (the owner pid differs). Module
+  attributes are the helper's copy from its fork: a test that patches the
+  search must keep its removals in-process (_HELPER_CELLS = inf for a
+  settle that waits, one CPU in os.sched_getaffinity for run_scenario).
 - Row cut (_Instance.search_rows), once per settle when there are more
   than n_c + 1 drivers for n_c riders: removal searches keep only the
   rows among some rider's n_c + 1 best drivers by sigma (ties to the lower
@@ -148,6 +169,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import select
 import signal
 import struct
@@ -180,9 +202,10 @@ _LAGRANGE_AFTER = 16
 # skips the relaxation only when a matching it holds has welfare >= 1e-4,
 # and the welfare bound prunes only below -1e-9 - 1e-4.
 _FLOOR_SLACK = 1e-4
-# A DS settle with at least two removals shares them with the removal helper
-# (_RemovalHelper) when its sensing index has at least this many cells,
-# drivers x riders. Measured on a 2-core host over the 432 DS settles of the
+# A DS settle that waits for its (at least two) removals shares them with the
+# removal helper (_RemovalHelper) when its sensing index has at least this
+# many cells, drivers x riders; run_scenario's settles, which do not wait,
+# share them at any size. Measured on a 2-core host over the 432 DS settles of the
 # sim-default cells (scenario 3, fleets 20 and 60, seeds 0-2): a hand-off
 # costs about 50 us (two trivial removals take 58 us shared, 24 us
 # in-process), plus up to 90 us for the floor multiplier where no search had
@@ -190,6 +213,16 @@ _FLOOR_SLACK = 1e-4
 # 300-400 cells (0.4 ms of in-process removal work), and from 500 cells take
 # about 0.7 of its time.
 _HELPER_CELLS = 400
+# The removal helper's queue holds at most this many claim records (32 KiB,
+# half of a Linux pipe's default 64 KiB) and this many message bytes, each
+# message counted with _SEND_COST more for the socket's own accounting of a
+# send. Linux's default socket send buffer (208 KiB) took 44 messages of
+# 4 KB and 278 of 100 bytes before a send blocked. Over the six ds cells of
+# sim-default (a median message 2.5 KB, 9 removals) the queue held at most
+# 11 settles and 60 KB on a 2-core host, and no settle found it full.
+_QUEUE_RECORDS = 2048
+_QUEUE_BYTES = 128 * 1024
+_SEND_COST = 1024
 
 WELFARE = "welfare"
 SENSING = "sensing"
@@ -508,26 +541,27 @@ def welfare_marginals(problem: MatchingProblem, participants,
 
 
 def sensing_marginals(problem: MatchingProblem, solution: MatchingSolution,
-                      participants,
-                      inst: _Instance | None = None) -> dict[str, float]:
+                      participants, inst: _Instance | None = None,
+                      queue: bool = False):
     """marginal_objective under the sensing objective, for many removals.
 
     `solution` must be the sensing optimum of `problem` and `inst` its
     settle index (built here when not given). Each removal is a slice of
-    that index, searched from a warm start with an early exit, here or, on
-    a large index, shared with the removal helper (see the module
-    docstring).
+    that index, searched from a warm start with an early exit, here or
+    shared with the removal helper (see the module docstring). With
+    `queue`, a settle the helper's queue takes returns at once as a
+    QueuedMarginals, whose result() is the dict.
     """
     index = _Instance(problem.table) if inst is None else inst
     optimal = frozenset(index.r_index[r] for r in solution.matched_riders)
     target = solution.objective_value
     cuts = list(_removals(index, problem, participants))
-    helper = _removal_helper(index, len(cuts))
-    done = {} if helper is None else helper.share(
-        index, optimal, target, [(i, j) for _, i, j in cuts])
-    return {p: done[k] if k in done
-            else _removal_value(index, optimal, target, i, j)
-            for k, (p, i, j) in enumerate(cuts)}
+    helper = _removal_helper(index, len(cuts), queue)
+    if helper is not None and (
+            queued := helper.hand_off(index, optimal, target, cuts)):
+        return queued if queue else queued.result()
+    return {p: _removal_value(index, optimal, target, i, j)
+            for p, i, j in cuts}
 
 
 def _removal_value(index: _Instance, optimal: frozenset, target: float,
@@ -545,20 +579,21 @@ def _removal_value(index: _Instance, optimal: frozenset, target: float,
         incumbent=optimal - {j}, target=target)[0]
 
 
-def _removal_helper(index: _Instance, n_removals: int):
+def _removal_helper(index: _Instance, n_removals: int, queue: bool = False):
     """This process's _RemovalHelper when a settle of n_removals removals
-    over `index` pays for the hand-off, forked on first use and again after
-    it died; else None. A process that multiprocessing started (a `compare
+    over `index` goes to it, forked on first use and again after it died;
+    else None. A queued settle needs 2 removals, a settle that waits also
+    _HELPER_CELLS cells. A process that multiprocessing started (a `compare
     --jobs` worker, a daemonic pool worker) never uses one, and a plain
     fork does not use the helper it inherits (its owner pid differs)."""
     global _helper
-    if n_removals < 2 or index.s_raw.size < _HELPER_CELLS:
+    if n_removals < 2 or not queue and index.s_raw.size < _HELPER_CELLS:
         return None
     if (multiprocessing.parent_process() is not None
             or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2
             or "fork" not in multiprocessing.get_all_start_methods()
-            # A larger write is not atomic and could block on a full pipe.
+            # A larger write is not atomic.
             or n_removals * _RemovalHelper.record.size > select.PIPE_BUF):
         return None
     if _helper is not None and _helper.owner != os.getpid():
@@ -585,17 +620,47 @@ def _claim(claims: int):
         return None
 
 
+class QueuedMarginals:
+    """One DS settle's removals in the removal helper's queue, from its
+    hand-off until the helper's reply (see the module docstring). result()
+    waits for them; cancel() drops the queue with its helper."""
+
+    def __init__(self, helper, number: int, index: _Instance,
+                 optimal: frozenset, target: float, cuts: list, size: int):
+        self.helper, self.number, self.size = helper, number, size
+        self.index, self.optimal, self.target = index, optimal, target
+        self.cuts = cuts
+        self.done: dict[int, float] = {}
+
+    def compute(self, k: int) -> float:
+        _, i, j = self.cuts[k]
+        return _removal_value(self.index, self.optimal, self.target, i, j)
+
+    def result(self) -> dict[str, float]:
+        """Each removal's value by participant. What raised (None in done),
+        or what a failed helper took and did not return, is computed here,
+        so an error keeps its type."""
+        self.helper.wait(self)
+        return {p: self.compute(k) if (v := self.done.get(k)) is None else v
+                for k, (p, _, _) in enumerate(self.cuts)}
+
+    def cancel(self) -> None:
+        if self.number in self.helper.queue:
+            self.helper.close()
+
+
 class _RemovalHelper:
     """The removal helper: one daemon process, forked from the settle's
-    process, that shares each large DS settle's removals with it through
-    the claim pipe's records and one message per settle (see the module
-    docstring). A helper that fails, or whose pipe fails, is closed, and
-    the next settle forks a new one; share() returns what it has and the
-    caller computes the rest in-process. Anything else raised in share()
-    (an error of the settle's own removals, an interrupt, a signal
-    handler's exception) closes the helper before it propagates. Forked,
-    not spawned: the helper starts from this process's loaded modules, with
-    no import or start-up cost.
+    process, that shares DS settles' removals with it through the claim
+    pipe's records and one message per settle, and replies once per
+    message (see the module docstring). `queue` holds the settles handed
+    off and not yet replied to, in order. A helper that fails, or whose
+    pipe fails, is closed, and the next settle forks a new one; what it
+    took and did not return is computed in-process. Anything else raised
+    while this process hands off or waits (an error of the settle's own
+    removals, an interrupt, a signal handler's exception) closes the helper
+    before it propagates. Forked, not spawned: the helper starts from this
+    process's loaded modules, with no import or start-up cost.
     """
 
     record = struct.Struct("qq")    # settle number, removal position
@@ -603,6 +668,7 @@ class _RemovalHelper:
     def __init__(self):
         ctx = multiprocessing.get_context("fork")
         self.owner, self.settle = os.getpid(), 0
+        self.queue: dict[int, QueuedMarginals] = {}
         self.claims, self.records = os.pipe()
         os.set_blocking(self.claims, False)
         self.conn, child = ctx.Pipe()
@@ -615,65 +681,110 @@ class _RemovalHelper:
         global _helper
         if _helper is self:
             _helper = None
-        self.proc.terminate()
+        self.queue.clear()
+        # SIGKILL, not SIGTERM: a stopped helper would not act on SIGTERM.
+        self.proc.kill()
         self.proc.join()
         self.conn.close()
         os.close(self.claims)
         os.close(self.records)
 
-    def share(self, index: _Instance, optimal: frozenset, target: float,
-              cuts: list) -> dict[int, float]:
-        """The removals (row, col) of `cuts` computed here or by the helper,
-        by position: all of them unless the helper failed."""
-        n, done = len(cuts), {}
-        self.settle += 1
+    def hand_off(self, index: _Instance, optimal: frozenset, target: float,
+                 cuts: list) -> QueuedMarginals | None:
+        """Queue one settle's removals `cuts` ((participant, row, col)), or
+        None, and nothing sent, when the queue has no room for them: an
+        empty queue takes any settle. Takes the replies that have come,
+        without waiting."""
         try:
-            message = (self.settle, index.removal_state(), optimal, target,
-                       cuts)
+            self.take_replies(block=False)
+            message = pickle.dumps(
+                (self.settle + 1, index.removal_state(), optimal, target,
+                 [(i, j) for _, i, j in cuts]),
+                protocol=pickle.HIGHEST_PROTOCOL)
+            size = len(message) + _SEND_COST
+            ahead = self.queue.values()
+            if ahead and (
+                    sum(len(q.cuts) for q in ahead) + len(cuts)
+                    > _QUEUE_RECORDS
+                    or sum(q.size for q in ahead) + size > _QUEUE_BYTES):
+                return None
+            self.settle += 1
+            queued = QueuedMarginals(self, self.settle, index, optimal,
+                                     target, cuts, size)
+            self.queue[self.settle] = queued
             os.write(self.records, b"".join(
-                self.record.pack(self.settle, k) for k in range(n)))
-            self.conn.send(message)
-            while (claim := _claim(self.claims)) is not None:
-                _, k = claim
-                done[k] = _removal_value(index, optimal, target, *cuts[k])
-            if len(done) < n:
-                # The helper took the rest.
-                done.update(self.conn.recv())
+                self.record.pack(self.settle, k) for k in range(len(cuts))))
+            self.conn.send_bytes(message)
+            return queued
         except (EOFError, OSError):
             self.close()
         except BaseException:
             self.close()
             raise
-        return done
+        return None
+
+    def wait(self, queued: QueuedMarginals) -> None:
+        """Claim every record left and take replies until `queued` has all
+        its values or its reply. A removal that raises is kept as None, for
+        its settle's result() to raise in settle order."""
+        try:
+            while (queued.number in self.queue
+                   and len(queued.done) < len(queued.cuts)):
+                while (claim := _claim(self.claims)) is not None:
+                    number, k = claim
+                    owner = self.queue[number]
+                    try:
+                        owner.done[k] = owner.compute(k)
+                    except Exception:
+                        owner.done[k] = None
+                if len(queued.done) < len(queued.cuts):
+                    # The helper took the rest.
+                    self.take_replies(block=True)
+        except (EOFError, OSError):
+            self.close()
+        except BaseException:
+            self.close()
+            raise
+
+    def take_replies(self, block: bool) -> None:
+        """Take the replies that have come, after waiting for one if
+        `block`. A reply's settle leaves the queue with the helper's
+        values."""
+        while block or self.conn.poll():
+            number, done = self.conn.recv()
+            self.queue.pop(number).done.update(done)
+            block = False
 
 
 def _helper_main(conn, owners_end, claims: int) -> None:
     """The removal helper's loop: one settle per message, until the message
-    pipe ends. A record names its settle, so a helper still holding an
-    older settle's message, whose records the settle's process took,
-    reads messages up to the record's."""
+    pipe ends. It takes the settle's records, the pipe's first, until the
+    pipe is empty or a record names a later settle, and then replies with
+    the settle number and its values. A removal that raises goes as None:
+    the settle's process computes it again and raises."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # The fork copied the settle's process's end: closed, the pipe ends when
     # that process does.
     owners_end.close()
+    ahead = None    # a record taken of a later settle
     try:
         while True:
             settle, state, optimal, target, cuts = conn.recv()
-            done = None
-            while (claim := _claim(claims)) is not None:
+            index, done = None, {}
+            while (claim := ahead or _claim(claims)) is not None:
+                ahead = None
                 number, k = claim
-                while number != settle:
-                    settle, state, optimal, target, cuts = conn.recv()
-                if done is None:
-                    index, done = _Instance.of_removal_state(state), {}
+                if number != settle:
+                    ahead = claim
+                    break
+                if index is None:
+                    index = _Instance.of_removal_state(state)
                 try:
                     done[k] = _removal_value(index, optimal, target, *cuts[k])
                 except Exception:
-                    # Left out: the settle's process computes it and raises.
-                    pass
-            if done is not None:
-                conn.send(done)
+                    done[k] = None
+            conn.send((settle, done))
     except (EOFError, OSError):
         return
 

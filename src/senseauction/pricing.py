@@ -14,8 +14,8 @@ import copy
 from dataclasses import dataclass
 
 from .assignment import (SENSING, WELFARE, MatchingProblem, MatchingSolution,
-                         sensing_marginals, settle_index, solve,
-                         welfare_marginals)
+                         QueuedMarginals, sensing_marginals, settle_index,
+                         solve, welfare_marginals)
 from .errors import ContractError
 from .market import Rates, participant_utilities
 
@@ -62,17 +62,20 @@ class EpochSettlement:
 
 
 def compute_marginals(problem: MatchingProblem, solution: MatchingSolution,
-                      index=None) -> dict[str, float]:
+                      index=None, queue: bool = False):
     """The optimum with each matched participant removed in turn.
 
     `solution` is the problem's optimum and `index` its settle_index (built
-    here when not given); every removal is priced from that one index.
+    here when not given); every removal is priced from that one index. With
+    `queue`, a sensing settle may return a QueuedMarginals instead of the
+    dict (see assignment.sensing_marginals).
     """
     participants = solution.matched_drivers + solution.matched_riders
     if problem.objective == WELFARE:
         return welfare_marginals(problem, participants, index)
     if problem.objective == SENSING:
-        return sensing_marginals(problem, solution, participants, index)
+        return sensing_marginals(problem, solution, participants, index,
+                                 queue)
     raise ContractError(f"unknown objective {problem.objective!r}")
 
 
@@ -142,13 +145,33 @@ def ds_prices(solution: MatchingSolution, sensing_marginals: dict[str, float],
                            welfare_total=v_total, sensing_total=u_star)
 
 
+class PendingSettlement:
+    """A DS settle whose removal marginals are still in the removal helper's
+    queue: its solution is final, its prices are not. settle() waits for
+    the marginals and prices them; cancel() drops them."""
+
+    def __init__(self, solution: MatchingSolution, marginals: QueuedMarginals,
+                 rates: Rates, floor_enabled: bool):
+        self.solution, self.marginals = solution, marginals
+        self.rates, self.floor_enabled = rates, floor_enabled
+
+    def settle(self) -> EpochSettlement:
+        return ds_prices(self.solution, self.marginals.result(), self.rates,
+                         floor_enabled=self.floor_enabled)
+
+    def cancel(self) -> None:
+        self.marginals.cancel()
+
+
 def settle_epoch(mechanism: str, problem: MatchingProblem, rates: Rates,
-                 floor_enabled: bool = True) -> EpochSettlement:
+                 floor_enabled: bool = True, queue: bool = False):
     """Solve, compute removal marginals, and price one epoch's market.
 
     The solve and the removal marginals share one settle_index, built here.
     They see a copy of the problem under the mechanism's objective; the
-    caller's problem is left as it was.
+    caller's problem is left as it was. With `queue` (run_scenario's
+    settles), a DS settle whose removals the removal helper's queue takes
+    returns a PendingSettlement; every other settle an EpochSettlement.
     """
     if mechanism not in (VCG, DS):
         raise ContractError(f"unknown mechanism {mechanism!r}")
@@ -157,7 +180,9 @@ def settle_epoch(mechanism: str, problem: MatchingProblem, rates: Rates,
     problem.objective = WELFARE if mechanism == VCG else SENSING
     index = settle_index(problem)
     solution = solve(problem, index)
-    marginals = compute_marginals(problem, solution, index)
+    marginals = compute_marginals(problem, solution, index, queue)
     if mechanism == VCG:
         return vcg_prices(solution, marginals)
+    if isinstance(marginals, QueuedMarginals):
+        return PendingSettlement(solution, marginals, rates, floor_enabled)
     return ds_prices(solution, marginals, rates, floor_enabled=floor_enabled)

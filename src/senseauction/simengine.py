@@ -149,6 +149,8 @@ class EpochOutcome:
     n_waiting: int
     n_matched: int
     n_abandoned: int
+    # Inside run_scenario, a queued DS epoch's pricing.PendingSettlement
+    # until run_scenario's drain (SimulationState.settle_pending).
     settlement: pricing.EpochSettlement
 
 
@@ -306,6 +308,9 @@ class SimulationState:
         self.total_generated = 0
         self.total_matched = 0
         self.total_abandoned = 0
+        # run_scenario's list of (outcome, pending settlement, restatement)
+        # for the epochs whose DS prices are still queued; None outside it.
+        self.pending: list | None = None
 
     def step_epoch(self, interval: int, epoch: int) -> EpochOutcome:
         config = self.config
@@ -354,7 +359,7 @@ class SimulationState:
         settlement = pricing.settle_epoch(
             self.mechanism, problem, config.rates,
             floor_enabled=config.floor_enabled if self.mechanism == pricing.DS
-            else False)
+            else False, queue=self.pending is not None)
 
         # 6-7. Commit coverage and mark drivers busy.
         riders_by_id = {r.id: r for r in self.waiting}
@@ -370,16 +375,35 @@ class SimulationState:
         matched_ids = set(settlement.solution.matched_riders)
         self.waiting = [r for r in self.waiting if r.id not in matched_ids]
         self.total_matched += len(matched_ids)
-        settlement = _truthful_priced(settlement, problem,
-                                      drivers_by_id, riders_by_id)
+
+        def restate(settled):
+            return _truthful_priced(settled, problem, drivers_by_id,
+                                    riders_by_id)
 
         outcome = EpochOutcome(interval=interval, epoch=epoch,
                                n_generated=len(fresh),
                                n_waiting=len(self.waiting),
                                n_matched=len(matched_ids),
                                n_abandoned=stale, settlement=settlement)
+        if isinstance(settlement, pricing.PendingSettlement):
+            self.pending.append((outcome, settlement, restate))
+        else:
+            outcome.settlement = restate(settlement)
         self.outcomes.append(outcome)
         return outcome
+
+    def settle_pending(self) -> None:
+        """Price the epochs whose DS prices are still queued, in epoch
+        order, so the earliest epoch's error is the one raised."""
+        for outcome, pending, restate in self.pending:
+            outcome.settlement = restate(pending.settle())
+        self.pending.clear()
+
+    def cancel_pending(self) -> None:
+        """Drop the queued epochs, and with them the helper's queue."""
+        for _, pending, _ in self.pending:
+            pending.cancel()
+        self.pending.clear()
 
 
 def _truthful_priced(settlement, problem, drivers_by_id, riders_by_id):
@@ -406,15 +430,29 @@ def _truthful_priced(settlement, problem, drivers_by_id, riders_by_id):
 
 
 def run_scenario(config: ScenarioConfig, mechanism: str) -> KpiReport:
-    """Run the full horizon and aggregate KPIs; deterministic per seed."""
+    """Run the full horizon and aggregate KPIs; deterministic per seed.
+
+    A DS epoch's removal marginals may still be with the removal helper
+    when the next epoch starts: nothing an epoch commits reads prices, so
+    they are collected (settle_pending) before each interval's KPIs, and
+    every outcome returned holds its EpochSettlement. A run that raises
+    drops what is still queued.
+    """
     state = SimulationState(config, mechanism)
+    state.pending = []
     per_interval = []
-    for t in range(config.horizon_intervals):
-        state.coverage.current_interval = t
-        first = len(state.outcomes)
-        for i in range(config.epochs_per_interval):
-            state.step_epoch(t, i)
-        per_interval.append(_interval_kpis(state, t, state.outcomes[first:]))
+    try:
+        for t in range(config.horizon_intervals):
+            state.coverage.current_interval = t
+            first = len(state.outcomes)
+            for i in range(config.epochs_per_interval):
+                state.step_epoch(t, i)
+            state.settle_pending()
+            per_interval.append(
+                _interval_kpis(state, t, state.outcomes[first:]))
+    except BaseException:
+        state.cancel_pending()
+        raise
     return _aggregate(state, per_interval)
 
 

@@ -27,7 +27,8 @@ from pathlib import Path
 import pytest
 
 from senseauction import assignment as asg
-from senseauction import pricing
+from senseauction import pricing, simengine
+from senseauction.simengine import ScenarioConfig
 
 from test_settle_golden import GOLDEN, SAVED, saved_large_markets
 
@@ -323,3 +324,172 @@ def test_helper_exits_when_its_process_is_killed():
     finally:
         if running(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+# run_scenario's queue: a DS settle hands its removals to the helper and the
+# run goes on; the prices are collected before each interval's KPIs.
+
+def run_lines(fleet, seed, one_cpu=False):
+    """kpi_rows and event_log_lines of one ds run (scenario 3), and the
+    number of its settles that were queued. With one_cpu, every removal
+    runs in-process."""
+    queued, settle = [], pricing.PendingSettlement.settle
+
+    def counted(pending):
+        queued.append(1)
+        return settle(pending)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pricing.PendingSettlement, "settle", counted)
+        if one_cpu:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        report = simengine.run_scenario(ScenarioConfig(
+            fleet_size=fleet, demand_scenario=3, seed=seed), pricing.DS)
+    assert all(isinstance(o.settlement, pricing.EpochSettlement)
+               for o in report.outcomes)
+    lines = ([",".join(map(str, row)) for row in simengine.kpi_rows(report)]
+             + simengine.event_log_lines(report))
+    return lines, len(queued)
+
+
+@pytest.fixture(scope="module")
+def in_process_runs():
+    """The in-process lines of the ds runs at fleets 20 and 60, seeds 0-2."""
+    runs = {}
+    for fleet in (20, 60):
+        for seed in range(3):
+            runs[fleet, seed], queued = run_lines(fleet, seed, one_cpu=True)
+            assert queued == 0
+    return runs
+
+
+def test_queued_runs_equal_in_process_runs(in_process_runs):
+    for (fleet, seed), want in in_process_runs.items():
+        got, queued = run_lines(fleet, seed)
+        assert queued > 0
+        assert got == want
+
+
+def with_alarm(fn, seconds=120.0):
+    """fn() under a SIGALRM budget that raises Alarm, so a hang fails the
+    test instead of holding it."""
+    previous = signal.signal(signal.SIGALRM, raise_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def live_helper(stress):
+    """This process's helper, forked by a settle if there is none."""
+    if asg._helper is None:
+        removal_hex(stress[0])
+    return asg._helper
+
+
+def test_a_run_with_a_stopped_helper_drains_its_own_queue(
+        in_process_runs, stress):
+    """A helper stopped through a whole run takes no record: the run's
+    process claims every queued removal at the drains, the queue's bound
+    keeps it from blocking on a full pipe, and the outputs are exact."""
+    helper = live_helper(stress)
+    os.kill(helper.proc.pid, signal.SIGSTOP)
+    try:
+        got, queued = with_alarm(lambda: run_lines(60, 0))
+        assert queued > 0
+        assert got == in_process_runs[60, 0]
+    finally:
+        os.kill(helper.proc.pid, signal.SIGCONT)
+    assert asg._helper is helper
+    assert run_lines(60, 1)[0] == in_process_runs[60, 1]
+
+
+class Stop(Exception):
+    """Raised from a patched step_epoch to stop a run mid-horizon."""
+
+
+def test_a_stopped_run_leaves_nothing_for_the_next(in_process_runs,
+                                                   monkeypatch):
+    """A run stopped mid-horizon, by an exception from a step or by an alarm
+    as the benchmark's budget stops it, drops its queue; the next run equals
+    the in-process one, so no reply of the stopped run prices it."""
+    step = simengine.SimulationState.step_epoch
+
+    def stopping(state, interval, epoch):
+        if (interval, epoch) == (1, 12):
+            raise Stop
+        return step(state, interval, epoch)
+
+    with monkeypatch.context() as m:
+        m.setattr(simengine.SimulationState, "step_epoch", stopping)
+        with pytest.raises(Stop):
+            run_lines(60, 0)
+    assert asg._helper is None or not asg._helper.queue
+    assert run_lines(60, 0)[0] == in_process_runs[60, 0]
+    start = time.perf_counter()
+    assert run_lines(60, 2)[0] == in_process_runs[60, 2]
+    took = time.perf_counter() - start
+    for part in (0.1, 0.3, 0.5):
+        with pytest.raises(Alarm):
+            with_alarm(lambda: run_lines(60, 2), part * took)
+        assert asg._helper is None or not asg._helper.queue
+        assert run_lines(60, 2)[0] == in_process_runs[60, 2]
+
+
+class EarlyError(Exception):
+    pass
+
+
+class LateError(Exception):
+    pass
+
+
+def test_the_earliest_failing_epoch_raises(monkeypatch):
+    """A removal that raises surfaces from run_scenario with its own type,
+    also when the helper took it, and of two failing epochs of one
+    interval the earlier one's error wins. The earlier epoch's driver
+    removals fail and the helper takes its rider removals slowly, so the
+    drain finds that epoch still queued and claims the later one's
+    records before its reply comes."""
+    targets, real = [], asg._removal_value
+
+    def recording(index, optimal, target, i, j):
+        if not targets or targets[-1] != target:
+            targets.append(target)
+        return real(index, optimal, target, i, j)
+
+    with monkeypatch.context() as m:
+        m.setattr(asg, "_removal_value", recording)
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        report = simengine.run_scenario(ScenarioConfig(
+            fleet_size=60, demand_scenario=3, seed=0), pricing.DS)
+    # The first interval's settles in order, by their sensing optimum, and
+    # two of them that no other settle shares it with.
+    first = [o.settlement.sensing_total for o in report.outcomes[:18]
+             if o.settlement.priced]
+    unique = [t for t in first if targets.count(t) == 1]
+    early, late = unique[1], unique[-1]
+    parent = os.getpid()
+
+    def failing(index, optimal, target, i, j):
+        if target == early and j is None:
+            raise EarlyError
+        if target == early and os.getpid() != parent:
+            time.sleep(0.5)
+        if target == late:
+            raise LateError
+        return real(index, optimal, target, i, j)
+
+    if asg._helper is not None:
+        asg._helper.close()
+    try:
+        # Patched before the helper forks, so it fails there too.
+        monkeypatch.setattr(asg, "_removal_value", failing)
+        for one_cpu in (True, False):
+            with pytest.raises(EarlyError):
+                with_alarm(lambda: run_lines(60, 0, one_cpu))
+    finally:
+        if asg._helper is not None:
+            asg._helper.close()

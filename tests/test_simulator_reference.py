@@ -681,11 +681,12 @@ def test_columnar_index_equals_edge_built_reference(seed, radius):
 @pytest.fixture(scope="module")
 def sim_cell_settles():
     """(mechanism, problem, rates, floor, settlement) for every epoch of one
-    default cell per mechanism (scenario 3, fleet 20, seed 0)."""
+    default cell per mechanism (scenario 3, fleet 20, seed 0). Each epoch
+    is settled at once, not queued, so every settlement is priced."""
     seen = []
     settle = pricing.settle_epoch
 
-    def record(mechanism, problem, rates, floor_enabled=True):
+    def record(mechanism, problem, rates, floor_enabled=True, queue=False):
         settled = settle(mechanism, problem, rates, floor_enabled)
         seen.append((mechanism, problem, rates, floor_enabled, settled))
         return settled
